@@ -1,10 +1,6 @@
 package chopping
 
-import (
-	"time"
-
-	"robustdb/internal/cost"
-)
+import "robustdb/internal/cost"
 
 // Pipeline-aware chunk sizing for the pipelined chunk executor (the §5.2
 // chunks, sized for transfer/compute overlap instead of only for heap
@@ -73,17 +69,4 @@ func PipelineChunkRows(learner *cost.Learner, params *cost.Params, class cost.Op
 		rows = totalRows
 	}
 	return rows
-}
-
-// PipelineStageTimes returns the per-chunk stage times of a pipelined
-// schedule for chunkRows rows (selectivity 1 on the output side — the
-// conservative bound placement prices with).
-func PipelineStageTimes(params *cost.Params, class cost.OpClass,
-	chunkRows int, inRowBytes, outRowBytes float64) (up, compute, down time.Duration) {
-	chunkIn := int64(float64(chunkRows) * inRowBytes)
-	chunkOut := int64(float64(chunkRows) * outRowBytes)
-	up = params.BusLatency + time.Duration(float64(chunkIn)/params.BusBandwidth*float64(time.Second))
-	down = params.BusLatency + time.Duration(float64(chunkOut)/params.BusBandwidth*float64(time.Second))
-	compute = params.OpDuration(class, cost.GPU, cost.Work(chunkIn, chunkOut))
-	return up, compute, down
 }

@@ -40,25 +40,3 @@ func TestPipelineChunkRowsBounds(t *testing.T) {
 		t.Fatal("empty table must size to zero")
 	}
 }
-
-// The stage-time helper must agree with the machine params: upload and
-// download are latency + bytes/bandwidth, compute is the operator model.
-func TestPipelineStageTimes(t *testing.T) {
-	params := cost.DefaultParams()
-	up, compute, down := PipelineStageTimes(params, cost.Selection, 4096, 24, 16)
-	if up <= params.BusLatency || down <= params.BusLatency {
-		t.Fatalf("transfer stages must exceed bus latency: up=%v down=%v", up, down)
-	}
-	if up <= down {
-		t.Fatalf("24B/row upload (%v) should outweigh 16B/row download (%v)", up, down)
-	}
-	if compute <= params.Startup[cost.GPU] {
-		t.Fatalf("compute stage %v must exceed kernel startup", compute)
-	}
-	// On the default machine the bus is ~25x slower than the device: a
-	// selectivity-1 scan is transfer-bound, which is what the pipelined
-	// executor exploits.
-	if up < compute {
-		t.Fatalf("default machine should be transfer-bound: up=%v compute=%v", up, compute)
-	}
-}

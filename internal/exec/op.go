@@ -99,17 +99,36 @@ type opStats struct {
 	overlap       float64
 }
 
-// execOp runs one operator on the chosen processor. A GPU attempt that
-// aborts on a capacity failure is restarted on the CPU immediately
-// (CoGaDB's per-operator fault tolerance, §2.5.1); an attempt that aborts on
-// a transient infrastructure fault is retried with exponential virtual-time
-// backoff up to the retry budget, then restarted on the CPU. Every attempt
-// outcome feeds the device health tracker, and — with tracing on — every
-// attempt emits one span recording where it ran, what it waited for, and why
-// it gave up. Whether the *successors* stay on the GPU is not decided here:
-// compile-time strategies keep their fixed placement (Figure 8, left),
-// run-time strategies see the host-resident intermediate at the next
-// placement decision (Figure 8, right).
+// attempt is the work one device or host attempt runs. A whole-operator
+// attempt (run == nil) executes n over its children's results, reads base
+// columns through the device cache, and produces out. A chunk attempt
+// executes the selection of a pipelined chunkable leaf over rows [lo, hi):
+// it streams that slice of every base column through the heap — only
+// whole-operator attempts consult and admit to the cache — and hands the
+// qualifying positions to its run. Both kinds go through the same device
+// lifecycle (gpuAttempt), degradation ladder (gpuLadder), and host path
+// (cpuAttempt).
+type attempt struct {
+	n      *plan.Node
+	inputs []*Value
+
+	run    *pipeRun // nil for whole-operator attempts
+	chunk  int      // chunk index within run
+	lo, hi int      // chunk row range
+	in     int64    // chunk input bytes
+
+	batch *engine.Batch  // whole-operator kernel output
+	pos   column.PosList // chunk kernel output
+	out   *Value         // whole-operator result
+}
+
+// execOp runs one operator on the chosen processor: GPU placements climb the
+// degradation ladder (gpuLadder), and whatever the ladder gives up on runs on
+// the CPU. With tracing on, every attempt emits one span recording where it
+// ran, what it waited for, and why it gave up. Whether the *successors* stay
+// on the GPU is not decided here: compile-time strategies keep their fixed
+// placement (Figure 8, left), run-time strategies see the host-resident
+// intermediate at the next placement decision (Figure 8, right).
 func (e *Engine) execOp(p *sim.Proc, q *query, n *plan.Node, kind cost.ProcKind, inputs []*Value) (*Value, error) {
 	e.pollReset(p.Now())
 	if kind == cost.GPU && e.pipeDepth > 0 && len(inputs) == 0 && e.Health.AllowGPU(p.Now()) {
@@ -119,52 +138,76 @@ func (e *Engine) execOp(p *sim.Proc, q *query, n *plan.Node, kind cost.ProcKind,
 			return v, err
 		}
 	}
-	attempt := 0
+	a := &attempt{n: n, inputs: inputs}
+	attempts := 0
 	if kind == cost.GPU {
-		for ; ; attempt++ {
-			if !e.Health.AllowGPU(p.Now()) {
-				e.Metrics.DegradedPlacements.Inc()
-				break
-			}
-			e.Health.BeginAttempt()
-			start := p.Now()
-			v, st, abort, err := e.runOnGPU(p, n, inputs)
-			e.traceOp(q, n, cost.GPU, attempt, start, st, abort, err)
-			if abort != abortNone && e.logEnabled(slog.LevelDebug) {
-				e.logEvent(slog.LevelDebug, "operator aborted",
-					slog.String("component", "exec"),
-					slog.Duration("vt", p.Now()),
-					slog.String("query", q.name),
-					slog.String("operator", n.Op.Name()),
-					slog.String("processor", "gpu"),
-					slog.String("cause", abortLabel(abort, err)),
-					slog.Int("attempt", attempt))
-			}
-			if err != nil {
-				e.Health.RecordNeutral() // a query-logic error, not the device
-				return nil, err
-			}
-			switch abort {
-			case abortNone:
-				e.Health.RecordSuccess(p.Now())
-				return v, nil
-			case abortOOM:
-				e.Health.RecordNeutral()
-			default: // abortFault, abortReset
-				e.Health.RecordFault(p.Now())
-			}
-			if abort == abortOOM || attempt+1 >= e.retry.MaxAttempts {
-				attempt++
-				break // out of patience: degrade to the CPU
-			}
-			e.Metrics.Retries.Inc()
-			p.Hold(e.retry.backoff(attempt))
+		var done bool
+		var err error
+		if attempts, done, err = e.gpuLadder(p, q, a); done || err != nil {
+			return a.out, err
 		}
 	}
 	start := p.Now()
-	v, st, err := e.runOnCPU(p, n, inputs)
-	e.traceOp(q, n, cost.CPU, attempt, start, st, abortNone, err)
-	return v, err
+	st, err := e.cpuAttempt(p, a)
+	e.traceOp(q, n, cost.CPU, attempts, start, st, abortNone, err)
+	return a.out, err
+}
+
+// gpuLadder runs device attempts of a until one completes. An attempt that
+// aborts on a capacity failure gives up at once, so the work restarts on the
+// CPU (CoGaDB's per-operator fault tolerance, §2.5.1); an attempt that aborts
+// on a transient infrastructure fault or a device reset is retried with
+// exponential virtual-time backoff up to the retry budget, then given up.
+// Every attempt outcome feeds the device health tracker, and an open breaker
+// gives up before attempting. done=false with a nil error means the caller
+// redoes the work on the CPU; attempts is then the number of device attempts
+// made, which the CPU attempt's span records.
+func (e *Engine) gpuLadder(p *sim.Proc, q *query, a *attempt) (attempts int, done bool, err error) {
+	for ; ; attempts++ {
+		if a.run != nil && a.run.bail() {
+			return attempts, false, nil
+		}
+		if !e.Health.AllowGPU(p.Now()) {
+			e.Metrics.DegradedPlacements.Inc()
+			return attempts, false, nil
+		}
+		e.Health.BeginAttempt()
+		start := p.Now()
+		st, abort, err := e.gpuAttempt(p, a)
+		if a.run == nil {
+			e.traceOp(q, a.n, cost.GPU, attempts, start, st, abort, err)
+		} else {
+			a.run.note(st)
+		}
+		if abort != abortNone && e.logEnabled(slog.LevelDebug) {
+			e.logEvent(slog.LevelDebug, "operator aborted",
+				slog.String("component", "exec"),
+				slog.Duration("vt", p.Now()),
+				slog.String("query", q.name),
+				slog.String("operator", a.n.Op.Name()),
+				slog.String("processor", "gpu"),
+				slog.String("cause", abortLabel(abort, err)),
+				slog.Int("attempt", attempts))
+		}
+		if err != nil {
+			e.Health.RecordNeutral() // a query-logic error, not the device
+			return attempts, false, err
+		}
+		switch abort {
+		case abortNone:
+			e.Health.RecordSuccess(p.Now())
+			return attempts, true, nil
+		case abortOOM:
+			e.Health.RecordNeutral()
+		default: // abortFault, abortReset
+			e.Health.RecordFault(p.Now())
+		}
+		if abort == abortOOM || attempts+1 >= e.retry.MaxAttempts {
+			return attempts + 1, false, nil // out of patience: degrade to the CPU
+		}
+		e.Metrics.Retries.Inc()
+		p.Hold(e.retry.backoff(attempts))
+	}
 }
 
 // traceOp emits one operator-attempt span. With tracing off it is a
@@ -264,163 +307,177 @@ func (e *Engine) transferTimed(p *sim.Proc, d bus.Direction, n int64, acc *time.
 	return err
 }
 
-// runOnGPU executes n on the co-processor. A non-abortNone return means the
-// attempt was rolled back (partial state released, abort stall charged) and
-// the caller decides between retry and CPU fallback.
-func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value, st opStats, aborted abortKind, err error) {
-	tq := p.Now()
-	e.GPU.Workers.Acquire(p)
-	st.queueWait = p.Now() - tq
-	defer e.GPU.Workers.Release()
-
+// gpuAttempt runs a on the co-processor: inputs are staged onto the device
+// (stageInputs), the kernel allocates its heap footprint step-wise while it
+// runs (deviceCompute), and the result is either kept device-resident or
+// copied back — chunk results always stream back to the host. Any failure
+// takes the one rollback path; a non-abortNone return means the attempt was
+// rolled back and the ladder decides between retry and CPU fallback.
+func (e *Engine) gpuAttempt(p *sim.Proc, a *attempt) (st opStats, abort abortKind, err error) {
+	if a.run == nil {
+		// Chunk attempts run inside their pipelined run's device worker.
+		tq := p.Now()
+		e.GPU.Workers.Acquire(p)
+		st.queueWait = p.Now() - tq
+		defer e.GPU.Workers.Release()
+	}
 	start := p.Now()
 	res := e.Heap.Reserve()
 	defer func() { st.heapHW = res.MaxHeld() }()
-	var refs []table.ColumnID
-	abort := func() {
-		e.Metrics.Aborts.Inc()
-		// Failed allocation + cleanup synchronize the device: every
-		// in-flight kernel stalls, and the aborting operator's memory is
-		// not reusable until the drain completes (cudaFree semantics).
-		// Under memory pressure these storms collapse GPU throughput —
-		// the amplification behind the paper's heap contention effect.
-		e.GPU.Server.Stall(e.Params.AbortSync)
-		p.Hold(e.Params.AbortSync)
-		for _, id := range refs {
-			e.Cache.Unref(id)
+
+	refs, inBytes, err := e.stageInputs(p, a, res, &st)
+	if err == nil {
+		if a.run != nil {
+			// One kernel at a time on the device while other chunks'
+			// transfers proceed on the links — the overlap the pipelined
+			// executor exists for.
+			a.run.kexec.Acquire(p)
 		}
-		res.Release()
-		e.Metrics.WastedTime.Add(p.Now() - start)
+		err = e.deviceCompute(p, a, res, inBytes, &st)
+		if a.run != nil {
+			a.run.kexec.Release()
+		}
 	}
-	// classify maps an allocation or transfer error to its abort kind;
-	// abortNone means the error is not an abort (a hard query error).
-	classify := func(aerr error) abortKind {
-		switch {
-		case errors.Is(aerr, device.ErrOutOfMemory):
-			return abortOOM
-		case errors.Is(aerr, device.ErrReset):
-			return abortReset
-		case faults.IsTransient(aerr):
-			if errors.Is(aerr, faults.ErrInjectedAlloc) {
-				e.Metrics.AllocFaults.Inc()
-			} else {
-				e.Metrics.TransferFaults.Inc()
-			}
-			return abortFault
-		default:
-			return abortNone
-		}
+	if err != nil {
+		abort, err = e.rollback(p, res, refs, start, err)
+		return st, abort, err
 	}
 
-	// Input phase: base columns through the cache, intermediates onto the
-	// heap. Operators start by allocating input memory (§4.1), so failures
-	// here abort cheaply.
-	var inBytes int64
-	for _, id := range n.Op.BaseColumns() {
-		colBytes, berr := e.Cat.ColumnBytes(id)
-		if berr != nil {
-			abort()
-			return nil, st, abortNone, berr
+	// Cleanup: cached inputs are no longer referenced, consumed device
+	// intermediates are freed, and the reservation shrinks to the result.
+	for _, id := range refs {
+		e.Cache.Unref(id)
+	}
+	for _, in := range a.inputs {
+		e.dropDevice(in)
+	}
+	if held := res.Held(); held >= st.outBytes {
+		res.ReleasePartial(held - st.outBytes)
+	} else if err := res.Grow(st.outBytes - held); err != nil {
+		// The result itself does not fit (or faulted): late abort.
+		abort, err = e.rollback(p, res, nil, start, err)
+		return st, abort, err
+	}
+	if a.run == nil && !e.forceCopyBack {
+		a.out = e.newDeviceValue(a.batch, res)
+		return st, abortNone, nil
+	}
+	// Copy-back: a chunk's qualifying rows stream back while the next
+	// chunk's kernel runs; UVA-style processing (ForceCopyBack) returns every
+	// operator result.
+	t0 := p.Now()
+	if err := e.transferTimed(p, bus.DeviceToHost, st.outBytes, &st.transfer); err != nil {
+		abort, err = e.rollback(p, res, nil, start, err)
+		return st, abort, err
+	}
+	res.Release()
+	if r := a.run; r != nil {
+		if st.outBytes > 0 {
+			r.stage(a.chunk, "download", "gpu", t0, p.Now(), e.Bus.Duration(bus.DeviceToHost, st.outBytes))
+		}
+		r.finish(a, cost.GPU)
+		return st, abortNone, nil
+	}
+	a.out = &Value{Batch: a.batch, OnDevice: false}
+	return st, abortNone, nil
+}
+
+// stageInputs makes a's inputs device-resident and returns the cache entries
+// it referenced and the input volume. Operators start by allocating input
+// memory (§4.1), so failures here abort cheaply. A whole-operator attempt
+// reads base columns through the cache: hits are already resident, misses
+// are admitted on demand (operator-driven data placement), and what the
+// cache cannot hold streams through the heap, as do host-resident
+// intermediates. A chunk attempt streams its slice of every base column
+// through the heap in one upload.
+func (e *Engine) stageInputs(p *sim.Proc, a *attempt, res *device.Reservation, st *opStats) (refs []table.ColumnID, inBytes int64, err error) {
+	if r := a.run; r != nil {
+		if err := res.Grow(a.in); err != nil {
+			return nil, 0, err
+		}
+		t0 := p.Now()
+		if err := e.transferTimed(p, bus.HostToDevice, a.in, &st.transfer); err != nil {
+			return nil, 0, err
+		}
+		r.stage(a.chunk, "upload", "gpu", t0, p.Now(), e.Bus.Duration(bus.HostToDevice, a.in))
+		return nil, a.in, nil
+	}
+	for _, id := range a.n.Op.BaseColumns() {
+		colBytes, err := e.Cat.ColumnBytes(id)
+		if err != nil {
+			return refs, 0, err
 		}
 		inBytes += colBytes
 		if e.Cache.Lookup(id) {
-			if rerr := e.Cache.Ref(id); rerr != nil {
-				abort()
-				return nil, st, abortNone, rerr
+			if err := e.Cache.Ref(id); err != nil {
+				return refs, 0, err
 			}
 			refs = append(refs, id)
 			continue // cache hit: data is already resident
 		}
-		// Operator-driven data placement: cache the column on demand.
 		if evicted, ok := e.Cache.Insert(id, colBytes); ok {
 			e.traceCacheAdmit(p.Now(), id, evicted, "operator-demand")
-			if rerr := e.Cache.Ref(id); rerr != nil {
-				abort()
-				return nil, st, abortNone, rerr
+			if err := e.Cache.Ref(id); err != nil {
+				return refs, 0, err
 			}
-			refs = append(refs, id)
-			if terr := e.transferTimed(p, bus.HostToDevice, colBytes, &st.transfer); terr != nil {
+			if err := e.transferTimed(p, bus.HostToDevice, colBytes, &st.transfer); err != nil {
 				// The column never arrived: undo the placement.
 				e.Cache.Unref(id)
-				refs = refs[:len(refs)-1]
 				e.Cache.Evict(id)
 				if e.Tracer != nil {
 					e.Tracer.Event(trace.Event{At: p.Now(), Kind: "evict",
 						Subject: string(id), Reason: "transfer-failed"})
 				}
-				abort()
-				return nil, st, classify(terr), nil
+				return refs, 0, err
 			}
+			refs = append(refs, id)
 			continue
 		}
-		// The cache cannot hold the column: stream it through the heap.
-		if aerr := res.Grow(colBytes); aerr != nil {
-			abort()
-			if k := classify(aerr); k != abortNone {
-				return nil, st, k, nil
-			}
-			return nil, st, abortNone, aerr
+		if err := res.Grow(colBytes); err != nil {
+			return refs, 0, err
 		}
-		if terr := e.transferTimed(p, bus.HostToDevice, colBytes, &st.transfer); terr != nil {
-			abort()
-			return nil, st, classify(terr), nil
+		if err := e.transferTimed(p, bus.HostToDevice, colBytes, &st.transfer); err != nil {
+			return refs, 0, err
 		}
 	}
-	for _, in := range inputs {
+	for _, in := range a.inputs {
 		inBytes += in.Bytes()
 		if in.OnDevice {
 			continue // produced by a GPU child, already resident
 		}
-		if aerr := res.Grow(in.Bytes()); aerr != nil {
-			abort()
-			if k := classify(aerr); k != abortNone {
-				return nil, st, k, nil
-			}
-			return nil, st, abortNone, aerr
+		if err := res.Grow(in.Bytes()); err != nil {
+			return refs, 0, err
 		}
-		if terr := e.transferTimed(p, bus.HostToDevice, in.Bytes(), &st.transfer); terr != nil {
-			abort()
-			return nil, st, classify(terr), nil
+		if err := e.transferTimed(p, bus.HostToDevice, in.Bytes(), &st.transfer); err != nil {
+			return refs, 0, err
 		}
 	}
+	return refs, inBytes, nil
+}
+
+// deviceCompute runs a's kernel and charges its device time. Device
+// operators cannot pre-declare their full heap demand (no concise upper bound
+// for joins, §2.5.1), so they allocate in steps and hold what they already
+// have (heapPhases): the first slice up front, the rest mid-kernel. Under
+// contention the second step fails *after* part of the kernel ran — the
+// wasted work behind heap contention (Figures 3 and 20). A device reset
+// before or during the kernel fails it with device.ErrReset.
+func (e *Engine) deviceCompute(p *sim.Proc, a *attempt, res *device.Reservation, inBytes int64, st *opStats) error {
 	if e.pollReset(p.Now()) || !res.Valid() {
 		// The device reset while (or right after) inputs were staged: all
 		// staged state is gone.
-		abort()
-		return nil, st, abortReset, nil
+		return device.ErrReset
 	}
-
-	// The kernel's real result; the simulator charges its cost below.
-	batches := batchesOf(inputs)
-	ectx := e.kernelCtx()
-	var decodeBase int64
-	if e.Tracer != nil {
-		decodeBase = column.DecompressedBytes()
+	if err := e.kernel(a, cost.GPU, st); err != nil {
+		return err
 	}
-	result, kerr := n.Op.Execute(ectx, e.Cat, batches)
-	if e.Tracer != nil {
-		st.decompress = column.DecompressedBytes() - decodeBase
-	}
-	e.noteKernel(&st, ectx)
-	if kerr != nil {
-		abort()
-		return nil, st, abortNone, fmt.Errorf("%s on gpu: %w", n.Op.Name(), kerr)
-	}
-	outBytes := result.Bytes()
-	st.rows, st.outBytes = int64(result.NumRows()), outBytes
-
-	// Heap phase: scratch + result footprint. Device operators cannot
-	// pre-declare their full demand (no concise upper bound for joins,
-	// §2.5.1), so they allocate in steps and hold what they already have:
-	// the first slice up front, the rest mid-kernel. Under contention the
-	// second step fails *after* part of the kernel ran — the wasted work
-	// behind heap contention (Figures 3 and 20).
-	footprint := e.Params.HeapFootprint(n.Op.Class(), inBytes, outBytes)
-	dur := e.Params.OpDuration(n.Op.Class(), cost.GPU, cost.Work(inBytes, outBytes))
-	var slowFactor float64 = 1
+	class := a.n.Op.Class()
+	work := cost.Work(inBytes, st.outBytes)
+	footprint := e.Params.HeapFootprint(class, inBytes, st.outBytes)
+	dur := e.Params.OpDuration(class, cost.GPU, work)
+	slow := false
 	if e.injector != nil {
-		var stall time.Duration
-		slowFactor, stall = e.injector.OpDelay(p.Now())
+		slowFactor, stall := e.injector.OpDelay(p.Now())
 		if stall > 0 {
 			// A stuck kernel: the device makes no progress for the stall.
 			e.Metrics.StuckOps.Inc()
@@ -428,114 +485,162 @@ func (e *Engine) runOnGPU(p *sim.Proc, n *plan.Node, inputs []*Value) (v *Value,
 		}
 		if slowFactor != 1 {
 			dur = time.Duration(float64(dur) * slowFactor)
+			slow = true
 		}
 	}
 	t0 := p.Now()
 	for _, phase := range heapPhases {
-		if aerr := res.Grow(int64(float64(footprint) * phase.allocFraction)); aerr != nil {
-			abort() // mid-kernel failure: the partial compute is wasted
-			if k := classify(aerr); k != abortNone {
-				return nil, st, k, nil
-			}
-			return nil, st, abortNone, aerr
+		if err := res.Grow(int64(float64(footprint) * phase.allocFraction)); err != nil {
+			return err // mid-kernel failure: the partial compute is wasted
 		}
 		e.GPU.Server.Execute(p, dur.Seconds()*phase.computeFraction)
 		if e.pollReset(p.Now()) || !res.Valid() {
-			abort() // the reset wiped the kernel's state mid-run
-			return nil, st, abortReset, nil
+			return device.ErrReset // the reset wiped the kernel's state mid-run
 		}
 	}
-	if slowFactor == 1 {
+	if r := a.run; r != nil {
+		// The learner sees one observation per pipelined operator; the run
+		// accumulates its chunks' device work for it.
+		r.stage(a.chunk, "compute", "gpu", t0, p.Now(), dur)
+		r.gpuWork += work
+		r.gpuCompute += p.Now() - t0
+		r.anySlow = r.anySlow || slow
+		return nil
+	}
+	if !slow {
 		// Degraded runs would poison the learner's calibration.
-		e.observe(n.Op.Class(), cost.GPU, cost.Work(inBytes, outBytes), p.Now()-t0)
+		e.observe(class, cost.GPU, work, p.Now()-t0)
 	} else {
 		e.Metrics.OperatorRuns.Inc()
 	}
 	e.Metrics.GPUOperators.Inc()
 	e.Metrics.HeapHighWater.Max(e.Heap.HighWater())
+	return nil
+}
 
-	// Cleanup: cached inputs are no longer referenced, consumed device
-	// intermediates are freed, and the reservation shrinks to the result.
+// rollback undoes a failed device attempt; every device failure takes this
+// path, from a staging fault to a mid-kernel heap phase to a result that no
+// longer fits. The failed allocation and its cleanup synchronize the device:
+// every in-flight kernel stalls, and the attempt's memory is not reusable
+// until the drain completes (cudaFree semantics). Under memory pressure these
+// storms collapse GPU throughput — the amplification behind the paper's heap
+// contention effect. The cause is classified for the ladder: an abort kind,
+// or a hard error that fails the query.
+func (e *Engine) rollback(p *sim.Proc, res *device.Reservation, refs []table.ColumnID, start time.Duration, cause error) (abortKind, error) {
+	e.Metrics.Aborts.Inc()
+	e.GPU.Server.Stall(e.Params.AbortSync)
+	p.Hold(e.Params.AbortSync)
 	for _, id := range refs {
 		e.Cache.Unref(id)
 	}
-	for _, in := range inputs {
-		e.dropDevice(in)
+	res.Release()
+	e.Metrics.WastedTime.Add(p.Now() - start)
+	if k := e.classify(cause); k != abortNone {
+		return k, nil
 	}
-	if held := res.Held(); held >= outBytes {
-		res.ReleasePartial(held - outBytes)
-	} else if aerr := res.Grow(outBytes - held); aerr != nil {
-		// The result itself does not fit (or faulted): late abort.
-		e.Metrics.Aborts.Inc()
-		e.GPU.Server.Stall(e.Params.AbortSync)
-		p.Hold(e.Params.AbortSync)
-		res.Release()
-		e.Metrics.WastedTime.Add(p.Now() - start)
-		if k := classify(aerr); k != abortNone {
-			return nil, st, k, nil
-		}
-		return nil, st, abortNone, aerr
-	}
-	if e.forceCopyBack {
-		// UVA-style processing: results travel back after every operator.
-		if terr := e.transferTimed(p, bus.DeviceToHost, outBytes, &st.transfer); terr != nil {
-			abort()
-			return nil, st, classify(terr), nil
-		}
-		res.Release()
-		return &Value{Batch: result, OnDevice: false}, st, abortNone, nil
-	}
-	return e.newDeviceValue(result, res), st, abortNone, nil
+	return abortNone, cause
 }
 
-// runOnCPU executes n on the host. Device-resident inputs are copied back
-// first (the extra transfers the paper attributes to aborted operators and
-// to compile-time placement after faults); a copy-back that keeps faulting
-// after retries fails the query cleanly.
-func (e *Engine) runOnCPU(p *sim.Proc, n *plan.Node, inputs []*Value) (*Value, opStats, error) {
-	var st opStats
+// classify maps a failed attempt's cause to its abort kind, counting
+// injected faults; abortNone means the cause is not an abort but a hard
+// error that fails the query.
+func (e *Engine) classify(err error) abortKind {
+	switch {
+	case errors.Is(err, device.ErrOutOfMemory):
+		return abortOOM
+	case errors.Is(err, device.ErrReset):
+		return abortReset
+	case faults.IsTransient(err):
+		if errors.Is(err, faults.ErrInjectedAlloc) {
+			e.Metrics.AllocFaults.Inc()
+		} else {
+			e.Metrics.TransferFaults.Inc()
+		}
+		return abortFault
+	default:
+		return abortNone
+	}
+}
+
+// cpuAttempt runs a on the host. Device-resident inputs are copied back first
+// (the extra transfers the paper attributes to aborted operators and to
+// compile-time placement after faults); a copy-back that keeps faulting after
+// retries fails the query cleanly. Chunks are not observed: the learner sees
+// one observation per operator, and CPUOperators counts operators.
+func (e *Engine) cpuAttempt(p *sim.Proc, a *attempt) (st opStats, err error) {
 	tq := p.Now()
 	e.CPU.Workers.Acquire(p)
 	st.queueWait = p.Now() - tq
 	defer e.CPU.Workers.Release()
 
-	var inBytes int64
-	for _, id := range n.Op.BaseColumns() {
-		colBytes, err := e.Cat.ColumnBytes(id)
-		if err != nil {
-			return nil, st, err
+	inBytes := a.in
+	if a.run == nil {
+		if inBytes, err = e.InputBytes(a.n, a.inputs); err != nil {
+			return st, err
 		}
-		inBytes += colBytes
-	}
-	for _, in := range inputs {
-		inBytes += in.Bytes()
-		d, err := e.pullToHost(p, in)
-		st.transfer += d
-		if err != nil {
-			return nil, st, err
+		for _, in := range a.inputs {
+			d, err := e.pullToHost(p, in)
+			st.transfer += d
+			if err != nil {
+				return st, err
+			}
 		}
+	} else if a.run.bail() {
+		return st, nil
 	}
-	ectx := e.kernelCtx()
-	var decodeBase int64
-	if e.Tracer != nil {
-		decodeBase = column.DecompressedBytes()
+	if err := e.kernel(a, cost.CPU, &st); err != nil {
+		return st, err
 	}
-	result, err := n.Op.Execute(ectx, e.Cat, batchesOf(inputs))
-	if e.Tracer != nil {
-		st.decompress = column.DecompressedBytes() - decodeBase
-	}
-	e.noteKernel(&st, ectx)
-	if err != nil {
-		return nil, st, fmt.Errorf("%s on cpu: %w", n.Op.Name(), err)
-	}
-	outBytes := result.Bytes()
-	st.rows, st.outBytes = int64(result.NumRows()), outBytes
-	dur := e.Params.OpDuration(n.Op.Class(), cost.CPU, cost.Work(inBytes, outBytes))
+	class := a.n.Op.Class()
+	work := cost.Work(inBytes, st.outBytes)
+	dur := e.Params.OpDuration(class, cost.CPU, work)
 	t0 := p.Now()
 	e.CPU.Server.Execute(p, dur.Seconds())
-	e.observe(n.Op.Class(), cost.CPU, cost.Work(inBytes, outBytes), p.Now()-t0)
+	if r := a.run; r != nil {
+		r.stage(a.chunk, "compute", "cpu", t0, p.Now(), dur)
+		r.finish(a, cost.CPU)
+		return st, nil
+	}
+	e.observe(class, cost.CPU, work, p.Now()-t0)
 	e.Metrics.CPUOperators.Inc()
-	return &Value{Batch: result, OnDevice: false}, st, nil
+	a.out = &Value{Batch: a.batch, OnDevice: false}
+	return st, nil
+}
+
+// kernel runs a's real computation (the simulator charges its cost
+// separately) and records the output in a and its volume in st: the whole
+// operator over its inputs, or the selection over the chunk's row range.
+func (e *Engine) kernel(a *attempt, proc cost.ProcKind, st *opStats) error {
+	if r := a.run; r != nil {
+		pos, err := r.op.FilterChunk(r.ectx, e.Cat, a.lo, a.hi)
+		if err != nil {
+			return fmt.Errorf("%s on %s (chunk %d): %w", a.n.Op.Name(), proc, a.chunk, err)
+		}
+		a.pos = pos
+		st.rows, st.outBytes = int64(len(pos)), int64(float64(len(pos))*r.info.OutRowBytes)
+		return nil
+	}
+	ectx := e.kernelCtx()
+	base := e.decodeMeter()
+	result, err := a.n.Op.Execute(ectx, e.Cat, batchesOf(a.inputs))
+	st.decompress = e.decodeMeter() - base
+	e.noteKernel(st, ectx)
+	if err != nil {
+		return fmt.Errorf("%s on %s: %w", a.n.Op.Name(), proc, err)
+	}
+	a.batch = result
+	st.rows, st.outBytes = int64(result.NumRows()), result.Bytes()
+	return nil
+}
+
+// decodeMeter reads the process-global volume materialized by decoding
+// compressed columns. Kernels report their delta only when tracing is on, so
+// the disabled path never reads the shared meter.
+func (e *Engine) decodeMeter() int64 {
+	if e.Tracer == nil {
+		return 0
+	}
+	return column.DecompressedBytes()
 }
 
 // pullToHost copies a device-resident value back to the host, retrying

@@ -12,6 +12,11 @@
 // single final MaterializeResult sees exactly the serial position list. The
 // schedule changes only *when* work happens, never *what* is computed.
 //
+// Robustness is not re-implemented here: each chunk is an attempt over its
+// row range on the engine's one device lifecycle (gpuAttempt, gpuLadder,
+// cpuAttempt in op.go), so step-wise heap allocation, the abort stall, and
+// the retry-then-CPU ladder apply to chunks exactly as to whole operators.
+//
 // Co-execution: with PipelineCoExec on, trailing chunks are handed to the CPU
 // worker pool when the device side is saturated or the circuit breaker has
 // degraded the device — the §5.2 idea that a chopped operator stream can
@@ -20,16 +25,13 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"robustdb/internal/bus"
 	"robustdb/internal/column"
 	"robustdb/internal/cost"
-	"robustdb/internal/device"
 	"robustdb/internal/engine"
-	"robustdb/internal/faults"
 	"robustdb/internal/plan"
 	"robustdb/internal/sim"
 	"robustdb/internal/trace"
@@ -110,21 +112,6 @@ func (e *Engine) PipelinedGPUEstimate(n *plan.Node) (float64, bool) {
 	return cost.PipelinedDuration(up, comp, down, k).Seconds(), true
 }
 
-// chunkOutcome is the result of one chunk attempt on the device.
-type chunkOutcome uint8
-
-const (
-	// chunkDone: the chunk completed and its positions are stored.
-	chunkDone chunkOutcome = iota
-	// chunkRedo: a capacity or infrastructure failure rolled the chunk back;
-	// the caller redoes it on the CPU (the per-chunk analogue of the
-	// operator-level abort-and-restart ladder).
-	chunkRedo
-	// chunkBail: the query failed or a sibling chunk hit a hard error; give
-	// up without redoing.
-	chunkBail
-)
-
 // pipeRun is the shared state of one pipelined operator execution. The
 // simulator serializes all processes, so plain fields are safe.
 type pipeRun struct {
@@ -154,14 +141,12 @@ type pipeRun struct {
 
 	gpuChunks  int64
 	cpuChunks  int64
-	faulted    bool
 	anySlow    bool
 	transfer   time.Duration // accumulated bus time (incl. queueing), for the op span
 	stageTime  time.Duration // ideal serial stage time (service times, no queueing)
 	gpuWork    int64
 	gpuCompute time.Duration
-	curHeld    int64
-	maxHeld    int64
+	maxHeld    int64 // largest chunk attempt's heap high-water mark
 }
 
 // runPipelined executes a chunkable GPU-placed leaf through the pipelined
@@ -177,7 +162,6 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node) (*Value, bool
 	e.GPU.Workers.Acquire(p)
 	defer e.GPU.Workers.Release()
 	queueWait := p.Now() - opStart
-	e.Health.BeginAttempt()
 
 	r := &pipeRun{
 		e:         e,
@@ -220,9 +204,6 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node) (*Value, bool
 		r.err = q.err
 	}
 	if r.err != nil {
-		// Per-chunk faults were already noted via NoteFault; the attempt
-		// itself ends without a second health verdict.
-		e.Health.RecordNeutral()
 		e.traceOp(q, n, kind, 0, opStart, st, abortNone, r.err)
 		return nil, true, r.err
 	}
@@ -241,17 +222,11 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node) (*Value, bool
 			pos = append(pos, part...)
 		}
 	}
-	var decodeBase int64
-	if e.Tracer != nil {
-		decodeBase = column.DecompressedBytes()
-	}
+	decodeBase := e.decodeMeter()
 	result, merr := r.op.MaterializeResult(r.ectx, e.Cat, pos)
-	if e.Tracer != nil {
-		st.decompress = column.DecompressedBytes() - decodeBase
-	}
+	st.decompress = e.decodeMeter() - decodeBase
 	e.noteKernel(&st, r.ectx)
 	if merr != nil {
-		e.Health.RecordNeutral()
 		err := fmt.Errorf("%s pipelined: %w", n.Op.Name(), merr)
 		e.traceOp(q, n, kind, 0, opStart, st, abortNone, err)
 		return nil, true, err
@@ -275,11 +250,6 @@ func (e *Engine) runPipelined(p *sim.Proc, q *query, n *plan.Node) (*Value, bool
 		q.pipeHidden += hidden
 	}
 
-	if r.gpuChunks > 0 && !r.faulted {
-		e.Health.RecordSuccess(p.Now())
-	} else {
-		e.Health.RecordNeutral()
-	}
 	if r.gpuChunks > 0 && !r.anySlow && r.gpuCompute > 0 {
 		e.observe(r.class, cost.GPU, r.gpuWork, r.gpuCompute)
 	} else {
@@ -320,17 +290,19 @@ func (r *pipeRun) complete() {
 	}
 }
 
-// chunkSpan emits one pipeline-stage span (Class "chunk"). EXPLAIN ANALYZE
+// stage records one completed chunk stage: its ideal service time for the
+// overlap ratio, and one pipeline-stage span (Class "chunk"). EXPLAIN ANALYZE
 // and the per-node report breakdowns filter this class; the Chrome export
 // shows the stage bars overlapping inside the query lane.
-func (r *pipeRun) chunkSpan(i int, stage, proc string, start, end time.Duration) {
+func (r *pipeRun) stage(i int, name, proc string, start, end, service time.Duration) {
+	r.stageTime += service
 	if r.e.Tracer == nil {
 		return
 	}
 	r.e.Tracer.Span(trace.Span{
 		Query: r.q.name,
-		Name:  fmt.Sprintf("%s/c%03d:%s", r.name, i, stage),
-		Op:    stage,
+		Name:  fmt.Sprintf("%s/c%03d:%s", r.name, i, name),
+		Op:    name,
 		Class: "chunk",
 		Proc:  proc,
 		Node:  r.n.ID(),
@@ -339,8 +311,30 @@ func (r *pipeRun) chunkSpan(i int, stage, proc string, start, end time.Duration)
 	})
 }
 
+// note folds one device chunk attempt's measurements into the operator span.
+func (r *pipeRun) note(st opStats) {
+	r.transfer += st.transfer
+	if st.heapHW > r.maxHeld {
+		r.maxHeld = st.heapHW
+	}
+}
+
+// finish stores a completed chunk's positions for the stitch.
+func (r *pipeRun) finish(a *attempt, kind cost.ProcKind) {
+	r.results[a.chunk] = a.pos
+	if kind == cost.GPU {
+		r.gpuChunks++
+	} else {
+		r.cpuChunks++
+	}
+}
+
 // runChunk executes chunk i: on the device through the bounded pipeline, or
-// on the CPU when co-execution takes it or the device attempt rolled back.
+// on the CPU when co-execution takes it or the device ladder gave up on it.
+// The chunk climbs the same ladder as a whole operator: a capacity abort
+// redoes it on the CPU at once, a transient fault retries the attempt with
+// backoff before redoing it there. FilterChunk is pure, so a redo reproduces
+// exactly the positions the device attempt would have produced.
 func (r *pipeRun) runChunk(p *sim.Proc, i int) {
 	defer r.complete()
 	if r.bail() {
@@ -351,19 +345,26 @@ func (r *pipeRun) runChunk(p *sim.Proc, i int) {
 	if hi > r.info.Rows {
 		hi = r.info.Rows
 	}
-	chunkIn := int64(float64(hi-lo) * r.info.InRowBytes())
+	a := &attempt{n: r.n, run: r, chunk: i, lo: lo, hi: hi,
+		in: int64(float64(hi-lo) * r.info.InRowBytes())}
 	outMax := int64(float64(hi-lo) * r.info.OutRowBytes)
-	if !r.wantCPU(p, chunkIn, outMax) {
-		switch r.runChunkGPU(p, i, lo, hi, chunkIn, outMax) {
-		case chunkDone, chunkBail:
+	if !r.wantCPU(p, a.in, outMax) {
+		// At most depth chunks hold device state at once, including a
+		// faulted chunk backing off between its attempts.
+		r.inFlight.Acquire(p)
+		_, done, err := r.e.gpuLadder(p, r.q, a)
+		r.inFlight.Release()
+		if err != nil {
+			r.fail(err)
 			return
-		case chunkRedo:
-			if r.bail() {
-				return
-			}
+		}
+		if done || r.bail() {
+			return
 		}
 	}
-	r.runChunkCPU(p, i, lo, hi, chunkIn, outMax)
+	if _, err := r.e.cpuAttempt(p, a); err != nil {
+		r.fail(err)
+	}
 }
 
 // wantCPU is the co-execution policy: hand this chunk to the CPU when the
@@ -392,204 +393,4 @@ func (r *pipeRun) wantCPU(p *sim.Proc, chunkIn, outMax int64) bool {
 	}
 	backlog := r.inFlight.InUse() + r.inFlight.Waiting()
 	return cpuSec < cycle*float64(backlog+1)
-}
-
-// noteChunkFault classifies a chunk-stage failure, counting injected faults
-// and feeding device health. OOM is capacity, not health (the serial ladder's
-// distinction); resets were already noted by DeviceReset.
-func (r *pipeRun) noteChunkFault(err error, now time.Duration) {
-	e := r.e
-	if err == nil || !faults.IsTransient(err) {
-		return
-	}
-	if errors.Is(err, faults.ErrInjectedAlloc) {
-		e.Metrics.AllocFaults.Inc()
-	} else {
-		e.Metrics.TransferFaults.Inc()
-	}
-	e.Health.NoteFault(now)
-	r.faulted = true
-}
-
-// runChunkGPU runs one chunk's upload → compute → download on the device.
-// Any capacity or infrastructure failure rolls the chunk back (reservation
-// released, no partial state) and reports chunkRedo; the caller restarts it
-// on the CPU, so a faulty device degrades chunk-by-chunk instead of wasting
-// the whole operator.
-func (r *pipeRun) runChunkGPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64) chunkOutcome {
-	e := r.e
-	r.inFlight.Acquire(p)
-	defer r.inFlight.Release()
-	if r.bail() {
-		return chunkBail
-	}
-	chunkStart := p.Now()
-
-	// Per-chunk heap reservation: the full footprint up front. A chunk is
-	// small, so the step-wise allocation storm of whole operators (§2.5.1)
-	// does not apply; what matters is that at most depth chunks hold
-	// reservations at once and every exit path releases.
-	res := e.Heap.Reserve()
-	footprint := e.Params.HeapFootprint(r.class, chunkIn, outMax)
-	release := func() {
-		r.curHeld -= footprint
-		res.Release()
-	}
-	if aerr := res.Grow(footprint); aerr != nil {
-		res.Release()
-		if isHardAllocErr(aerr) {
-			r.fail(aerr)
-			return chunkBail
-		}
-		r.noteChunkFault(aerr, p.Now())
-		e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-		return chunkRedo
-	}
-	r.curHeld += footprint
-	if r.curHeld > r.maxHeld {
-		r.maxHeld = r.curHeld
-	}
-
-	// Upload: chunk input over the H2D link, retrying transient faults.
-	t0 := p.Now()
-	for attempt := 0; ; attempt++ {
-		terr := e.transferTimed(p, bus.HostToDevice, chunkIn, &r.transfer)
-		if terr == nil {
-			break
-		}
-		r.noteChunkFault(terr, p.Now())
-		if attempt+1 >= e.retry.MaxAttempts {
-			release()
-			e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-			return chunkRedo
-		}
-		e.Metrics.Retries.Inc()
-		p.Hold(e.retry.backoff(attempt))
-		if r.bail() {
-			release()
-			return chunkBail
-		}
-	}
-	r.chunkSpan(i, "upload", "gpu", t0, p.Now())
-	r.stageTime += e.Bus.Duration(bus.HostToDevice, chunkIn)
-	if e.pollReset(p.Now()) || !res.Valid() {
-		release()
-		e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-		return chunkRedo
-	}
-	if r.bail() {
-		release()
-		return chunkBail
-	}
-
-	// Compute: one kernel at a time on the device while other chunks'
-	// transfers proceed on the links — the overlap this executor exists for.
-	r.kexec.Acquire(p)
-	if e.pollReset(p.Now()) || !res.Valid() {
-		r.kexec.Release()
-		release()
-		e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-		return chunkRedo
-	}
-	t0 = p.Now()
-	pos, kerr := r.op.FilterChunk(r.ectx, e.Cat, lo, hi)
-	if kerr != nil {
-		r.kexec.Release()
-		release()
-		r.fail(fmt.Errorf("%s on gpu (chunk %d): %w", r.n.Op.Name(), i, kerr))
-		return chunkBail
-	}
-	chunkOut := int64(float64(len(pos)) * r.info.OutRowBytes)
-	work := cost.Work(chunkIn, chunkOut)
-	dur := e.Params.OpDuration(r.class, cost.GPU, work)
-	if e.injector != nil {
-		slowFactor, stall := e.injector.OpDelay(p.Now())
-		if stall > 0 {
-			e.Metrics.StuckOps.Inc()
-			p.Hold(stall)
-		}
-		if slowFactor != 1 {
-			dur = time.Duration(float64(dur) * slowFactor)
-			r.anySlow = true
-		}
-	}
-	e.GPU.Server.Execute(p, dur.Seconds())
-	r.kexec.Release()
-	r.chunkSpan(i, "compute", "gpu", t0, p.Now())
-	r.stageTime += dur
-	r.gpuWork += work
-	r.gpuCompute += p.Now() - t0
-	if e.pollReset(p.Now()) || !res.Valid() {
-		release()
-		e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-		return chunkRedo
-	}
-
-	// Download: the chunk's qualifying rows stream back while the next
-	// chunk's kernel runs.
-	if chunkOut > 0 {
-		t0 = p.Now()
-		for attempt := 0; ; attempt++ {
-			terr := e.transferTimed(p, bus.DeviceToHost, chunkOut, &r.transfer)
-			if terr == nil {
-				break
-			}
-			r.noteChunkFault(terr, p.Now())
-			if attempt+1 >= e.retry.MaxAttempts {
-				release()
-				e.Metrics.WastedTime.Add(p.Now() - chunkStart)
-				return chunkRedo
-			}
-			e.Metrics.Retries.Inc()
-			p.Hold(e.retry.backoff(attempt))
-			if r.bail() {
-				release()
-				return chunkBail
-			}
-		}
-		r.chunkSpan(i, "download", "gpu", t0, p.Now())
-		r.stageTime += e.Bus.Duration(bus.DeviceToHost, chunkOut)
-	}
-	release()
-	r.results[i] = pos
-	r.gpuChunks++
-	return chunkDone
-}
-
-// runChunkCPU runs one chunk on the host: the co-execution path and the redo
-// target of rolled-back device chunks. FilterChunk is pure, so a redo
-// reproduces exactly the positions the device attempt would have produced.
-func (r *pipeRun) runChunkCPU(p *sim.Proc, i, lo, hi int, chunkIn, outMax int64) {
-	e := r.e
-	e.CPU.Workers.Acquire(p)
-	defer e.CPU.Workers.Release()
-	if r.bail() {
-		return
-	}
-	t0 := p.Now()
-	pos, kerr := r.op.FilterChunk(r.ectx, e.Cat, lo, hi)
-	if kerr != nil {
-		r.fail(fmt.Errorf("%s on cpu (chunk %d): %w", r.n.Op.Name(), i, kerr))
-		return
-	}
-	chunkOut := int64(float64(len(pos)) * r.info.OutRowBytes)
-	dur := e.Params.OpDuration(r.class, cost.CPU, cost.Work(chunkIn, chunkOut))
-	e.CPU.Server.Execute(p, dur.Seconds())
-	r.chunkSpan(i, "compute", "cpu", t0, p.Now())
-	r.stageTime += dur
-	r.results[i] = pos
-	r.cpuChunks++
-}
-
-// isHardAllocErr reports whether a reservation failure is neither capacity
-// nor a known transient fault — a genuine engine error that must fail the
-// query instead of silently redoing on the CPU.
-func isHardAllocErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, device.ErrOutOfMemory) || errors.Is(err, device.ErrReset) {
-		return false
-	}
-	return !faults.IsTransient(err)
 }

@@ -262,27 +262,89 @@ func TestPipelineDepthZeroIsSeedBehavior(t *testing.T) {
 	}
 }
 
-// TestPipelinedFaultsRedoOnCPU: with every transfer failing inside the fault
-// window, device chunks roll back and redo on the CPU; the query still
-// completes exactly and the faults are counted.
+// TestPipelinedFaultsRedoOnCPU: device chunks climb the serial degradation
+// ladder. A transient fault (allocator or transfer) retries the whole chunk
+// attempt with backoff; a chunk still failing after the retry budget — every
+// transfer failing — redoes on the CPU. Either way the query completes
+// exactly, the faults are counted, and no heap leaks.
 func TestPipelinedFaultsRedoOnCPU(t *testing.T) {
 	cat := testCatalog(65536)
 	serial := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30})
 	want, _ := runQueryOnce(t, serial, scanPlan(), fixedPlacer{cost.GPU})
 
-	e := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30,
-		PipelineDepth: 2, PipelineChunkRows: 8192,
-		Faults: faults.New(faults.Config{Seed: 3, TransferFailRate: 1}),
-	})
+	cases := []struct {
+		name   string
+		faults faults.Config
+		redo   bool // every device attempt fails: chunks must redo on the CPU
+	}{
+		{"transfer-always", faults.Config{Seed: 3, TransferFailRate: 1}, true},
+		{"transfer-transient", faults.Config{Seed: 3, TransferFailRate: 0.3}, false},
+		{"alloc-transient", faults.Config{Seed: 5, AllocFailRate: 0.2}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30,
+				PipelineDepth: 2, PipelineChunkRows: 8192,
+				Faults: faults.New(tc.faults),
+			})
+			got, _ := runQueryOnce(t, e, scanPlan(), fixedPlacer{cost.GPU})
+			requireSameBatch(t, want, got)
+			if e.Metrics.TransferFaults.Load()+e.Metrics.AllocFaults.Load() == 0 {
+				t.Fatal("injected faults not counted")
+			}
+			if e.Metrics.Retries.Load() == 0 {
+				t.Fatal("faulted chunk attempts were not retried")
+			}
+			if tc.redo && e.Metrics.PipelineCPUChunks.Load() == 0 {
+				t.Fatal("faulted device chunks did not redo on the CPU")
+			}
+			if used := e.Heap.Used(); used != 0 {
+				t.Fatalf("faulted pipelined run leaked %d heap bytes", used)
+			}
+		})
+	}
+}
+
+// TestPipelinedHeapContentionFollowsSerialModel: a chunk allocates its heap
+// footprint step-wise like a whole operator, so with a heap that holds the
+// chunk's input and first phase but not its second, every device chunk
+// aborts mid-kernel, stalls the device for AbortSync, and redoes on the CPU —
+// counted as aborts and wasted time exactly as serial heap contention is.
+func TestPipelinedHeapContentionFollowsSerialModel(t *testing.T) {
+	const rows, chunkRows = 65536, 8192
+	cat := testCatalog(rows)
+	serial := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30})
+	want, _ := runQueryOnce(t, serial, scanPlan(), fixedPlacer{cost.GPU})
+
+	info, err := scanPlan().Root.Op.(plan.ChunkableOp).ChunkInfo(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := cost.DefaultParams()
+	chunkIn := int64(float64(chunkRows) * info.InRowBytes())
+	footprint := params.HeapFootprint(cost.Selection, chunkIn, 0)
+	first := int64(float64(footprint) * heapPhases[0].allocFraction)
+	second := int64(float64(footprint) * heapPhases[1].allocFraction)
+	heap := chunkIn + first + second/2 // the second phase cannot fit
+
+	e := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: heap,
+		PipelineDepth: 1, PipelineChunkRows: chunkRows})
 	got, _ := runQueryOnce(t, e, scanPlan(), fixedPlacer{cost.GPU})
 	requireSameBatch(t, want, got)
-	if e.Metrics.TransferFaults.Load() == 0 {
-		t.Fatal("injected transfer faults not counted")
+	if e.Metrics.PipelinedOps.Load() != 1 {
+		t.Fatal("operator did not run pipelined")
+	}
+	aborts := e.Metrics.Aborts.Load()
+	if aborts == 0 {
+		t.Fatal("no chunk aborted on a heap too small for its second phase")
+	}
+	if wasted := e.Metrics.WastedTime.Load(); wasted < time.Duration(aborts)*params.AbortSync {
+		t.Fatalf("wasted time %v below %d aborts x AbortSync %v", wasted, aborts, params.AbortSync)
 	}
 	if e.Metrics.PipelineCPUChunks.Load() == 0 {
-		t.Fatal("faulted device chunks did not redo on the CPU")
+		t.Fatal("aborted chunks did not redo on the CPU")
 	}
 	if used := e.Heap.Used(); used != 0 {
-		t.Fatalf("faulted pipelined run leaked %d heap bytes", used)
+		t.Fatalf("aborted chunks leaked %d heap bytes", used)
 	}
 }

@@ -6,9 +6,8 @@ import (
 	"robustdb/internal/column"
 )
 
-// Buffer arena: sync.Pool-backed recycling for the scratch slices the
-// kernels burn through (per-morsel position lists, partial accumulator
-// arrays, typed gather buffers).
+// Buffer arena: sync.Pool-backed recycling for the per-morsel position
+// lists the kernels burn through.
 //
 // Lifetime rules (DESIGN.md §12):
 //
@@ -23,49 +22,7 @@ import (
 //     heap Reservation accounting because reservations model the simulated
 //     device, not host scratch.
 
-type bufPool[T any] struct {
-	pool sync.Pool
-}
-
-func (b *bufPool[T]) get(capHint int) []T {
-	if v := b.pool.Get(); v != nil {
-		s := *(v.(*[]T))
-		if cap(s) >= capHint {
-			return s[:0]
-		}
-		// Too small for this request: drop it rather than grow-and-copy.
-	}
-	if capHint < DefaultMorselRows {
-		capHint = DefaultMorselRows
-	}
-	return make([]T, 0, capHint)
-}
-
-func (b *bufPool[T]) put(s []T) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	b.pool.Put(&s)
-}
-
-var (
-	f64Arena bufPool[float64]
-	i32Arena bufPool[int32]
-	posArena sync.Pool // of *column.PosList
-)
-
-// GetFloat64 returns a zero-length []float64 with capacity >= capHint.
-func GetFloat64(capHint int) []float64 { return f64Arena.get(capHint) }
-
-// PutFloat64 recycles a buffer obtained from GetFloat64.
-func PutFloat64(s []float64) { f64Arena.put(s) }
-
-// GetInt32 returns a zero-length []int32 with capacity >= capHint.
-func GetInt32(capHint int) []int32 { return i32Arena.get(capHint) }
-
-// PutInt32 recycles a buffer obtained from GetInt32.
-func PutInt32(s []int32) { i32Arena.put(s) }
+var posArena sync.Pool // of *column.PosList
 
 // GetPos returns a zero-length position list with capacity >= capHint.
 func GetPos(capHint int) column.PosList {

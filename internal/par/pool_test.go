@@ -128,32 +128,17 @@ func TestForEachNZeroAndNegative(t *testing.T) {
 }
 
 func TestArenaRoundTrip(t *testing.T) {
-	f := GetFloat64(100)
-	if len(f) != 0 || cap(f) < 100 {
-		t.Fatalf("GetFloat64: len=%d cap=%d", len(f), cap(f))
-	}
-	f = append(f, 1, 2, 3)
-	PutFloat64(f)
-	f2 := GetFloat64(10)
-	if len(f2) != 0 {
-		t.Fatalf("recycled buffer has len %d, want 0", len(f2))
-	}
-
-	i := GetInt32(77)
-	if len(i) != 0 || cap(i) < 77 {
-		t.Fatalf("GetInt32: len=%d cap=%d", len(i), cap(i))
-	}
-	PutInt32(i)
-
 	p := GetPos(DefaultMorselRows * 2)
 	if len(p) != 0 || cap(p) < DefaultMorselRows*2 {
 		t.Fatalf("GetPos: len=%d cap=%d", len(p), cap(p))
 	}
+	p = append(p, 1, 2, 3)
 	PutPos(p)
+	if p2 := GetPos(10); len(p2) != 0 {
+		t.Fatalf("recycled buffer has len %d, want 0", len(p2))
+	}
 
 	// Puts of foreign or empty slices must be harmless.
-	PutFloat64(nil)
-	PutInt32(nil)
 	PutPos(nil)
 	PutPos(make([]int32, 0))
 }
