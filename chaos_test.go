@@ -5,10 +5,32 @@ import (
 	"testing"
 	"time"
 
+	"robustdb/internal/engine"
 	"robustdb/internal/exec"
 	"robustdb/internal/placer"
+	"robustdb/internal/plan"
 	"robustdb/internal/sim"
+	"robustdb/internal/table"
 )
+
+// bulkEval executes a plan directly with the bulk kernels, outside the
+// engine: the placement-independent reference the chaos suite compares the
+// engine's results to.
+func bulkEval(cat *table.Catalog, p *plan.Plan) (*engine.Batch, error) {
+	var eval func(n *plan.Node) (*engine.Batch, error)
+	eval = func(n *plan.Node) (*engine.Batch, error) {
+		var inputs []*engine.Batch
+		for _, c := range n.Children {
+			in, err := eval(c)
+			if err != nil {
+				return nil, err
+			}
+			inputs = append(inputs, in)
+		}
+		return n.Op.Execute(nil, cat, inputs)
+	}
+	return eval(p.Root)
+}
 
 // chaosDB is the SSB database the chaos suite runs against — small enough
 // that every schedule finishes fast, large enough that queries actually move
@@ -43,7 +65,7 @@ func TestChaosQueriesExactOrFailClean(t *testing.T) {
 	// independent by construction; this pins that property under faults).
 	refs := make(map[string]*Batch, len(queries))
 	for _, q := range queries {
-		ref, err := evalPlan(db.cat, q.Plan)
+		ref, err := bulkEval(db.cat, q.Plan)
 		if err != nil {
 			t.Fatalf("reference %s: %v", q.Name, err)
 		}

@@ -10,9 +10,12 @@
 //	benchdiff -baseline BENCH_BASELINE.json -update bench.txt  # re-pin
 //
 // The gate fails (exit 1) when the geometric mean of the per-benchmark
-// ratios (new/old) exceeds 1+threshold: single-benchmark jitter is tolerated,
-// a regression across the suite is not. Benchmarks missing from either side
-// are reported but do not gate — they change the suite, not its speed.
+// wall-clock ratios (new/old) exceeds 1+threshold: single-benchmark jitter is
+// tolerated, a regression across the suite is not. Simulated virtual-time
+// metrics ("name@vt_ns/op") are deterministic, so they stay out of the
+// geomean and gate exactly: any difference from the baseline fails.
+// Benchmarks missing from either side are reported but do not gate — they
+// change the suite, not its speed.
 //
 // -ratios asserts cross-benchmark speedups within the current run (they
 // compare two medians from the same machine and input, so they are immune
@@ -28,7 +31,7 @@
 // Custom per-op time metrics emitted via b.ReportMetric (units ending in
 // "_ns/op", e.g. the simulator's virtual-time "vt_ns/op") are parsed
 // alongside ns/op under the key "name@unit" — pin and assert them like any
-// benchmark:
+// benchmark (the virtual-time ones exactly, see above):
 //
 //	benchdiff -ratios 'BenchmarkMicroPipelinedFilter@vt_ns/op=BenchmarkMicroSerialFilter@vt_ns/op:1.3' bench.txt
 package main
@@ -175,8 +178,13 @@ func writeBaseline(path string, medians map[string]float64) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// isVirtualTime reports whether a key is a simulated virtual-time metric,
+// which is deterministic and therefore gates exactly.
+func isVirtualTime(key string) bool { return strings.HasSuffix(key, "@vt_ns/op") }
+
 // compare prints the per-benchmark table and returns the exit code: 1 when
-// the geometric mean of the ratios regresses past the threshold.
+// the geometric mean of the wall-clock ratios regresses past the threshold
+// or any virtual-time metric differs from its baseline value.
 func compare(w io.Writer, old, cur map[string]float64, threshold float64) int {
 	names := make([]string, 0, len(old))
 	for name := range old {
@@ -185,38 +193,56 @@ func compare(w io.Writer, old, cur map[string]float64, threshold float64) int {
 	sort.Strings(names)
 
 	var logSum float64
-	var n int
-	fmt.Fprintf(w, "%-32s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "ratio")
+	var n, overlap int
+	var changed []string
+	fmt.Fprintf(w, "%-40s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "ratio")
 	for _, name := range names {
 		nw, ok := cur[name]
 		if !ok {
-			fmt.Fprintf(w, "%-32s %14.0f %14s %8s\n", name, old[name], "MISSING", "-")
+			fmt.Fprintf(w, "%-40s %14.0f %14s %8s\n", name, old[name], "MISSING", "-")
 			continue
 		}
+		overlap++
 		ratio := nw / old[name]
-		fmt.Fprintf(w, "%-32s %14.0f %14.0f %7.3fx\n", name, old[name], nw, ratio)
+		fmt.Fprintf(w, "%-40s %14.0f %14.0f %7.3fx\n", name, old[name], nw, ratio)
+		if isVirtualTime(name) {
+			if nw != old[name] {
+				changed = append(changed, name)
+			}
+			continue
+		}
 		logSum += math.Log(ratio)
 		n++
 	}
 	for name := range cur {
 		if _, ok := old[name]; !ok {
-			fmt.Fprintf(w, "%-32s %14s %14.0f %8s\n", name, "NEW", cur[name], "-")
+			fmt.Fprintf(w, "%-40s %14s %14.0f %8s\n", name, "NEW", cur[name], "-")
 		}
 	}
-	if n == 0 {
+	if overlap == 0 {
 		fmt.Fprintln(w, "benchdiff: no overlapping benchmarks; re-pin the baseline with -update")
 		return 1
 	}
-	geomean := math.Exp(logSum / float64(n))
-	limit := 1 + threshold
-	fmt.Fprintf(w, "geomean %.3fx over %d benchmarks (limit %.3fx)\n", geomean, n, limit)
-	if geomean > limit {
-		fmt.Fprintf(w, "benchdiff: FAIL — geomean regression %.1f%% exceeds %.0f%%\n",
-			(geomean-1)*100, threshold*100)
-		return 1
+	code := 0
+	for _, name := range changed {
+		fmt.Fprintf(w, "benchdiff: FAIL — %s changed %.0f → %.0f; virtual time is deterministic and must match exactly\n",
+			name, old[name], cur[name])
+		code = 1
 	}
-	fmt.Fprintln(w, "benchdiff: OK")
-	return 0
+	if n > 0 {
+		geomean := math.Exp(logSum / float64(n))
+		limit := 1 + threshold
+		fmt.Fprintf(w, "geomean %.3fx over %d wall-clock benchmarks (limit %.3fx)\n", geomean, n, limit)
+		if geomean > limit {
+			fmt.Fprintf(w, "benchdiff: FAIL — geomean regression %.1f%% exceeds %.0f%%\n",
+				(geomean-1)*100, threshold*100)
+			code = 1
+		}
+	}
+	if code == 0 {
+		fmt.Fprintln(w, "benchdiff: OK")
+	}
+	return code
 }
 
 // ratioSpec is one fast=slow[:min] speedup assertion.

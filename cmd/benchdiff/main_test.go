@@ -62,3 +62,29 @@ func TestRatioGateOnVirtualTime(t *testing.T) {
 		t.Fatalf("5x gate on a 1.78x speedup should fail:\n%s", buf.String())
 	}
 }
+
+// Virtual-time keys gate exactly against the baseline and stay out of the
+// wall-clock geomean.
+func TestVirtualTimeGatesExactly(t *testing.T) {
+	old := map[string]float64{"BenchmarkA": 100, "BenchmarkA@vt_ns/op": 7402436}
+	var buf bytes.Buffer
+	if rc := compare(&buf, old, map[string]float64{"BenchmarkA": 110, "BenchmarkA@vt_ns/op": 7402436}, 0.2); rc != 0 {
+		t.Fatalf("identical virtual time and 1.1x wall clock should pass:\n%s", buf.String())
+	}
+	buf.Reset()
+	if rc := compare(&buf, old, map[string]float64{"BenchmarkA": 100, "BenchmarkA@vt_ns/op": 7402437}, 0.2); rc != 1 {
+		t.Fatalf("a 1 ns virtual-time change must fail:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "BenchmarkA@vt_ns/op changed 7402436 → 7402437") {
+		t.Fatalf("failure does not name the changed key:\n%s", buf.String())
+	}
+	// With the unchanged virtual-time key in the geomean, 1.3x wall clock
+	// would average down to 1.14x and pass a 20% gate; it must not.
+	buf.Reset()
+	if rc := compare(&buf, old, map[string]float64{"BenchmarkA": 130, "BenchmarkA@vt_ns/op": 7402436}, 0.2); rc != 1 {
+		t.Fatalf("1.3x wall clock must fail the geomean gate:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "over 1 wall-clock benchmarks") {
+		t.Fatalf("geomean counted virtual-time keys:\n%s", buf.String())
+	}
+}

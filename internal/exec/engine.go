@@ -46,8 +46,6 @@ type Config struct {
 	CacheBytes int64
 	// HeapBytes is the device heap capacity for operator intermediates.
 	HeapBytes int64
-	// CachePolicy selects LRU or LFU replacement (Appendix E).
-	CachePolicy cache.Policy
 	// CPUWorkers and GPUWorkers bound operator concurrency per processor;
 	// 0 means UnboundedWorkers. Query chopping sets small bounds.
 	CPUWorkers int
@@ -73,10 +71,6 @@ type Config struct {
 	// The breaker only reacts to infrastructure faults, so it never trips in
 	// fault-free runs.
 	Health HealthConfig
-	// Retry bounds the per-operator retry of transient device faults; the
-	// zero value uses defaults. Capacity (OOM) aborts are never retried —
-	// they fall back to the CPU immediately, as in the paper.
-	Retry RetryConfig
 	// QueryDeadline fails any query still running after this much virtual
 	// time, releasing its device reservations (0 = no deadline).
 	QueryDeadline time.Duration
@@ -95,11 +89,6 @@ type Config struct {
 	// PipelineChunkRows, when > 0, fixes the chunk size instead of deriving
 	// it from the cost learner (ablation studies sweep it).
 	PipelineChunkRows int
-	// ChunkSizer derives the chunk size for a pipelined operator from the
-	// cost model; nil uses a built-in equal-split fallback. The workload
-	// package wires the chopping package's learner-driven sizer here
-	// (exec cannot import chopping — chopping imports exec).
-	ChunkSizer ChunkSizer
 	// Tracer, when non-nil, records one span per operator execution attempt
 	// and one event per cache/placement decision, all in virtual time. Nil
 	// disables tracing at zero per-operator cost.
@@ -112,38 +101,20 @@ type Config struct {
 	Log *slog.Logger
 }
 
-// RetryConfig bounds the engine's retry of transient device faults.
-type RetryConfig struct {
-	// MaxAttempts is the total number of device attempts per operator
-	// (default 3). 1 disables retry.
-	MaxAttempts int
-	// BackoffBase is the virtual-time backoff before the first retry; each
-	// further retry doubles it (default 100µs).
-	BackoffBase time.Duration
-}
-
-// ChunkSizer derives the row count per chunk for a pipelined chunkable
-// operator from the cost model: the learner's current per-byte estimate for
-// the operator class, the machine params, the total rows and per-row byte
-// widths of the operator, and the configured pipeline depth. Implementations
-// must be pure (placement and the executor may both call them).
-type ChunkSizer func(learner *cost.Learner, params *cost.Params, class cost.OpClass,
-	totalRows int, inRowBytes, outRowBytes float64, depth int) int
-
-func (r RetryConfig) withDefaults() RetryConfig {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 3
-	}
-	if r.BackoffBase <= 0 {
-		r.BackoffBase = 100 * time.Microsecond
-	}
-	return r
-}
+// The engine retries transient device faults (failed transfers and
+// allocations, not capacity aborts) up to maxDeviceAttempts device attempts
+// per operator, holding retryBackoff before the first retry and doubling it
+// before each further one. Capacity (OOM) aborts are never retried — they
+// fall back to the CPU immediately, as in the paper.
+const (
+	maxDeviceAttempts = 3
+	retryBackoff      = 100 * time.Microsecond
+)
 
 // backoff returns the hold before retry number attempt+1 (attempt counts
-// from 0): base, 2×base, 4×base, …
-func (r RetryConfig) backoff(attempt int) time.Duration {
-	d := r.BackoffBase
+// from 0): retryBackoff, 2×, 4×, …
+func backoff(attempt int) time.Duration {
+	d := retryBackoff
 	for ; attempt > 0 && d < time.Second; attempt-- {
 		d *= 2
 	}
@@ -192,12 +163,10 @@ type Engine struct {
 	queryCount    int
 	forceCopyBack bool
 	injector      *faults.Injector
-	retry         RetryConfig
 	deadline      time.Duration
 	pipeDepth     int
 	pipeCoExec    bool
 	pipeChunkRows int
-	chunkSizer    ChunkSizer
 	// deviceValues registers every device-resident Value so a device reset
 	// can invalidate all of them.
 	deviceValues map[*Value]struct{}
@@ -236,7 +205,7 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 		Params:  params,
 		Learner: cost.NewLearner(params),
 		Bus:     bus.New(s, bus.Config{Bandwidth: params.BusBandwidth, Latency: params.BusLatency}),
-		Cache:   cache.New(cfg.CacheBytes, cfg.CachePolicy),
+		Cache:   cache.New(cfg.CacheBytes),
 		Heap:    device.NewMemory("gpu-heap", cfg.HeapBytes),
 		CPU: &Processor{
 			Kind:    cost.CPU,
@@ -255,12 +224,10 @@ func New(cat *table.Catalog, cfg Config) *Engine {
 		outstanding:   make(map[cost.ProcKind]float64),
 		forceCopyBack: cfg.ForceCopyBack,
 		injector:      cfg.Faults,
-		retry:         cfg.Retry.withDefaults(),
 		deadline:      cfg.QueryDeadline,
 		pipeDepth:     cfg.PipelineDepth,
 		pipeCoExec:    cfg.PipelineCoExec,
 		pipeChunkRows: cfg.PipelineChunkRows,
-		chunkSizer:    cfg.ChunkSizer,
 		deviceValues:  make(map[*Value]struct{}),
 	}
 	// Mirror per-direction link busy time into the atomic metrics registry so
@@ -364,24 +331,9 @@ func (e *Engine) NotePreloadError(err error) {
 	}
 }
 
-// Processor returns the processor of the given kind.
-func (e *Engine) Processor(kind cost.ProcKind) *Processor {
-	if kind == cost.GPU {
-		return e.GPU
-	}
-	return e.CPU
-}
-
 // Outstanding returns the estimated seconds of queued + running work on the
 // processor.
 func (e *Engine) Outstanding(kind cost.ProcKind) float64 { return e.outstanding[kind] }
-
-// PipelineDepth returns the configured pipeline depth (0 = pipelining off).
-func (e *Engine) PipelineDepth() int { return e.pipeDepth }
-
-// PipelineCoExec reports whether the pipelined executor may hand trailing
-// chunks to the CPU pool.
-func (e *Engine) PipelineCoExec() bool { return e.pipeCoExec }
 
 // addLoad registers estimated work with a processor's queue estimate.
 func (e *Engine) addLoad(kind cost.ProcKind, seconds float64) { e.outstanding[kind] += seconds }

@@ -361,13 +361,6 @@ func TestOutstandingLoadTracking(t *testing.T) {
 	}
 }
 
-func TestProcessorAccessor(t *testing.T) {
-	e := New(testCatalog(10), Config{CacheBytes: 1, HeapBytes: 1})
-	if e.Processor(cost.CPU) != e.CPU || e.Processor(cost.GPU) != e.GPU {
-		t.Fatal("Processor accessor wrong")
-	}
-}
-
 func TestTransferInEstimate(t *testing.T) {
 	cat := testCatalog(1000)
 	e := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30})

@@ -202,11 +202,11 @@ func (e *Engine) gpuLadder(p *sim.Proc, q *query, a *attempt) (attempts int, don
 		default: // abortFault, abortReset
 			e.Health.RecordFault(p.Now())
 		}
-		if abort == abortOOM || attempts+1 >= e.retry.MaxAttempts {
+		if abort == abortOOM || attempts+1 >= maxDeviceAttempts {
 			return attempts + 1, false, nil // out of patience: degrade to the CPU
 		}
 		e.Metrics.Retries.Inc()
-		p.Hold(e.retry.backoff(attempts))
+		p.Hold(backoff(attempts))
 	}
 }
 
@@ -654,10 +654,10 @@ func (e *Engine) pullToHost(p *sim.Proc, v *Value) (time.Duration, error) {
 	}
 	var busTime time.Duration
 	var err error
-	for attempt := 0; attempt < e.retry.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxDeviceAttempts; attempt++ {
 		if attempt > 0 {
 			e.Metrics.Retries.Inc()
-			p.Hold(e.retry.backoff(attempt - 1))
+			p.Hold(backoff(attempt - 1))
 		}
 		if !v.OnDevice {
 			return busTime, nil // a device reset invalidated the copy; host batch is authoritative

@@ -37,26 +37,79 @@ import (
 	"robustdb/internal/trace"
 )
 
+// minChunkRows is the smallest chunk the sizer emits: below ~1k rows the
+// fixed per-chunk costs dominate any overlap win.
+const minChunkRows = 1024
+
+// overheadBudget caps the fixed per-chunk cost (bus latency + kernel
+// launch) at this fraction of the chunk's bottleneck stage time.
+const overheadBudget = 0.10
+
 // pipelineChunkRowsFor resolves the chunk size for one pipelined operator:
-// a fixed override (ablations sweep it), the configured cost-model sizer, or
-// the built-in equal split into depth+2 chunks.
+// the fixed Config.PipelineChunkRows override (ablations sweep it), or the
+// cost-model sizer.
 func (e *Engine) pipelineChunkRowsFor(class cost.OpClass, info plan.ChunkInfo) int {
 	if e.pipeChunkRows > 0 {
-		r := e.pipeChunkRows
-		if r > info.Rows {
-			r = info.Rows
-		}
-		return r
+		return min(e.pipeChunkRows, info.Rows)
 	}
-	if e.chunkSizer != nil {
-		return e.chunkSizer(e.Learner, e.Params, class, info.Rows, info.InRowBytes(), info.OutRowBytes, e.pipeDepth)
+	return sizeChunkRows(e.Learner, e.Params, class, info.Rows, info.InRowBytes(), info.OutRowBytes, e.pipeDepth)
+}
+
+// sizeChunkRows sizes the chunks of a pipelined chunkable operator for
+// transfer/compute overlap (the §5.2 chunks): a chunk should be small enough
+// that several are in flight — upload of chunk i+1 under the compute of
+// chunk i — and large enough that the fixed per-chunk costs (bus latency,
+// kernel launch) stay amortized. The per-row cost of each stage — upload,
+// device compute, download — comes from the machine params and the online
+// cost learner; the bottleneck stage sets the cycle time, and the chunk is
+// sized so the fixed per-chunk overhead stays under overheadBudget of one
+// cycle. The result is clamped so at least depth+1 chunks exist whenever the
+// table is large enough — a pipeline of depth d needs d+1 chunks before any
+// stage overlaps — and never below minChunkRows.
+func sizeChunkRows(learner *cost.Learner, params *cost.Params, class cost.OpClass,
+	totalRows int, inRowBytes, outRowBytes float64, depth int) int {
+	if totalRows <= 0 {
+		return 0
 	}
-	parts := e.pipeDepth + 2
-	r := (info.Rows + parts - 1) / parts
-	if r < 1 {
-		r = 1
+	if depth < 1 {
+		depth = 1
 	}
-	return r
+	upRow := inRowBytes / params.BusBandwidth
+	downRow := outRowBytes / params.BusBandwidth
+	// Per-row compute slope from the learner: the estimate over the full
+	// volume minus the fixed startup, divided by the rows. The learner starts
+	// at the analytical prior and converges to observed throughput.
+	workBytes := int64(float64(totalRows) * (inRowBytes + outRowBytes))
+	compute := learner.Estimate(class, cost.GPU, workBytes) - params.Startup[cost.GPU]
+	compRow := 0.0
+	if compute > 0 {
+		compRow = compute.Seconds() / float64(totalRows)
+	}
+	bottleneck := upRow
+	if compRow > bottleneck {
+		bottleneck = compRow
+	}
+	if downRow > bottleneck {
+		bottleneck = downRow
+	}
+	overhead := (params.BusLatency + params.Startup[cost.GPU]).Seconds()
+	rows := totalRows
+	if bottleneck > 0 {
+		rows = int(overhead / (overheadBudget * bottleneck))
+	}
+	// The pipeline only overlaps with more chunks in flight than its depth;
+	// prefer depth+1 chunks over perfectly amortized overhead when the table
+	// is big enough to afford it.
+	if maxRows := totalRows / (depth + 1); maxRows >= minChunkRows && rows > maxRows {
+		rows = maxRows
+	}
+	if rows < minChunkRows {
+		rows = minChunkRows
+	}
+	if rows > totalRows {
+		rows = totalRows
+	}
+	return rows
 }
 
 // pipelinePlanFor decides whether the pipelined executor applies to a

@@ -348,3 +348,63 @@ func TestPipelinedHeapContentionFollowsSerialModel(t *testing.T) {
 		t.Fatalf("aborted chunks leaked %d heap bytes", used)
 	}
 }
+
+// TestPipelineSizesChunksFromLearner: an engine built with New and a
+// pipeline depth but no PipelineChunkRows override sizes its chunks with the
+// learner-driven sizer. A 200k-row scan reading 24 B and emitting 16 B per
+// row splits into 7 chunks at depth 2 — not an equal split into depth+2.
+func TestPipelineSizesChunksFromLearner(t *testing.T) {
+	const rows = 200_000
+	cat := testCatalog(rows)
+	pl := plan.New(plan.Scan("fact", []string{"qty", "price"}, expr.NewCmp("v", expr.LT, 50)))
+	info, err := pl.Root.Op.(plan.ChunkableOp).ChunkInfo(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.InRowBytes() != 24 || info.OutRowBytes != 16 {
+		t.Fatalf("scan shape %v B in / %v B out, want 24 / 16", info.InRowBytes(), info.OutRowBytes)
+	}
+	e := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30, PipelineDepth: 2})
+	runQueryOnce(t, e, pl, fixedPlacer{cost.GPU})
+	if e.Metrics.PipelinedOps.Load() != 1 {
+		t.Fatal("scan did not run pipelined")
+	}
+	if got := e.Metrics.PipelineChunks.Load(); got != 7 {
+		t.Fatalf("scan split into %d chunks, want 7", got)
+	}
+}
+
+// The chunk sizer's contract: chunks stay within [minChunkRows, totalRows],
+// large tables always get at least depth+1 chunks (the pipeline cannot
+// overlap otherwise), and the fixed per-chunk overhead stays amortized.
+func TestPipelineChunkRowsBounds(t *testing.T) {
+	params := cost.DefaultParams()
+	learner := cost.NewLearner(params)
+	for _, totalRows := range []int{1, 512, 1024, 100_000, 10_000_000} {
+		for _, depth := range []int{0, 1, 2, 4, 8} {
+			rows := sizeChunkRows(learner, params, cost.Selection, totalRows, 24, 16, depth)
+			if rows <= 0 {
+				t.Fatalf("rows=%d depth=%d: sizer returned %d", totalRows, depth, rows)
+			}
+			if rows > totalRows {
+				t.Fatalf("rows=%d depth=%d: chunk %d exceeds table", totalRows, depth, rows)
+			}
+			if totalRows >= minChunkRows && rows < minChunkRows {
+				t.Fatalf("rows=%d depth=%d: chunk %d below minChunkRows", totalRows, depth, rows)
+			}
+			d := depth
+			if d < 1 {
+				d = 1
+			}
+			if totalRows/(d+1) >= minChunkRows {
+				k := (totalRows + rows - 1) / rows
+				if k < d+1 {
+					t.Fatalf("rows=%d depth=%d: only %d chunks, pipeline cannot fill", totalRows, depth, k)
+				}
+			}
+		}
+	}
+	if sizeChunkRows(learner, params, cost.Selection, 0, 24, 16, 2) != 0 {
+		t.Fatal("empty table must size to zero")
+	}
+}

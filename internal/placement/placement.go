@@ -1,8 +1,9 @@
 // Package placement implements the data placement manager of §3.2: the
 // storage adviser that tracks how frequently and how recently each base
-// column is accessed by query processing, and the background job
-// (Algorithm 1) that periodically fills the co-processor's data cache with
-// the most valuable columns and pins them there.
+// column is accessed by query processing, and Algorithm 1, which fills the
+// co-processor's data cache with the most valuable columns and pins them
+// there. The paper runs Algorithm 1 as a periodic background job; here it
+// runs before the measured run and again after every device reset.
 //
 // Decoupling *data* placement from *operator* placement is what eliminates
 // cache thrashing: one central component decides the cache contents, and
@@ -14,9 +15,7 @@ import (
 	"log/slog"
 	"sort"
 
-	"robustdb/internal/bus"
 	"robustdb/internal/exec"
-	"robustdb/internal/sim"
 	"robustdb/internal/table"
 	"robustdb/internal/trace"
 )
@@ -167,7 +166,7 @@ func (m *Manager) ApplyInstant(e *exec.Engine, desired []table.ColumnID, pin boo
 			traceDecision(e, "pin", id, "algorithm1")
 		}
 	}
-	logApply(e, "instant", desired, pin)
+	logApply(e, desired, pin)
 	return nil
 }
 
@@ -183,63 +182,15 @@ func traceDecision(e *exec.Engine, kind string, id table.ColumnID, reason string
 // logApply emits one structured summary of an Algorithm 1 application. The
 // per-column decisions are already in the trace event stream; the log keeps
 // to the operator-facing summary (how much was placed, whether it is pinned).
-func logApply(e *exec.Engine, mode string, desired []table.ColumnID, pin bool) {
+func logApply(e *exec.Engine, desired []table.ColumnID, pin bool) {
 	if e.Log == nil || !e.Log.Enabled(context.Background(), slog.LevelInfo) {
 		return
 	}
 	e.Log.LogAttrs(context.Background(), slog.LevelInfo, "data placement applied",
 		slog.String("component", "placement"),
 		slog.Duration("vt", e.Sim.Now()),
-		slog.String("mode", mode),
+		slog.String("mode", "instant"),
 		slog.Int("columns", len(desired)),
 		slog.Bool("pinned", pin),
 		slog.Int64("cache_used_bytes", e.Cache.Used()))
-}
-
-// ApplyCharged is ApplyInstant for the *periodic background job*: the
-// transfers of newly placed columns consume virtual bus time on behalf of
-// proc, so the cost of adjusting the placement is visible in the run.
-// Running queries continue while it executes (they hold references).
-func (m *Manager) ApplyCharged(e *exec.Engine, proc *sim.Proc, desired []table.ColumnID, pin bool) error {
-	want := make(map[table.ColumnID]bool, len(desired))
-	for _, id := range desired {
-		want[id] = true
-	}
-	for _, id := range e.Cache.Contents() {
-		if !want[id] {
-			if e.Cache.Pinned(id) {
-				if err := e.Cache.Unpin(id); err != nil {
-					return err
-				}
-			}
-			e.Cache.Evict(id)
-			traceDecision(e, "evict", id, "algorithm1-drop")
-		}
-	}
-	for _, id := range desired {
-		if !e.Cache.Contains(id) {
-			b, err := e.Cat.ColumnBytes(id)
-			if err != nil {
-				return err
-			}
-			evicted, ok := e.Cache.Insert(id, b)
-			for _, v := range evicted {
-				traceDecision(e, "evict", v, "replacement")
-			}
-			if !ok {
-				continue
-			}
-			e.Bus.Transfer(proc, bus.HostToDevice, b)
-			traceDecision(e, "admit", id, "algorithm1")
-			e.Metrics.PlacementTransfers.Inc()
-		}
-		if pin {
-			if err := e.Cache.Pin(id); err != nil {
-				return err
-			}
-			traceDecision(e, "pin", id, "algorithm1")
-		}
-	}
-	logApply(e, "charged", desired, pin)
-	return nil
 }

@@ -5,10 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"robustdb/internal/bus"
 	"robustdb/internal/column"
 	"robustdb/internal/exec"
-	"robustdb/internal/sim"
 	"robustdb/internal/table"
 )
 
@@ -151,40 +149,6 @@ func TestApplyInstantNoPin(t *testing.T) {
 	}
 	if e.Cache.Pinned("a.x") {
 		t.Fatal("pin=false must not pin")
-	}
-}
-
-func TestApplyCharged(t *testing.T) {
-	cat := testCatalog()
-	e := exec.New(cat, exec.Config{CacheBytes: 1 << 20, HeapBytes: 1 << 20})
-	m := NewManager(LFU)
-	m.Tracker.Record("a.x", "d.x")
-	e.Cache.Insert("c.x", 400)
-	desired := m.Desired(e.Cat, 1<<20)
-	var err error
-	e.Sim.Spawn("bg-job", func(p *sim.Proc) {
-		err = m.ApplyCharged(e, p, desired, true)
-	})
-	end := e.Sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end <= 0 {
-		t.Fatal("charged placement must consume virtual time")
-	}
-	if e.Bus.Link(bus.HostToDevice).Bytes() != 800+3200 {
-		t.Fatalf("transferred %d bytes", e.Bus.Link(bus.HostToDevice).Bytes())
-	}
-	if e.Cache.Contains("c.x") || !e.Cache.Contains("a.x") || !e.Cache.Contains("d.x") {
-		t.Fatal("cache contents wrong")
-	}
-	// Errors: unknown column.
-	e.Sim.Spawn("bg-job2", func(p *sim.Proc) {
-		err = m.ApplyCharged(e, p, []table.ColumnID{"gone.x"}, false)
-	})
-	e.Sim.Run()
-	if err == nil {
-		t.Fatal("expected error for unknown column")
 	}
 }
 

@@ -56,10 +56,3 @@ func ParallelSelectionQuery() Query {
 		[]engine.AggSpec{{Func: engine.Sum, Col: "lo_revenue", As: "checksum"}})
 	return Query{Name: "parallel-selection", Plan: plan.New(sum)}
 }
-
-// ParallelSelectionFilterColumns lists the columns the B.2 selections read;
-// the experiment caches exactly these (paper: "All selections filter the
-// same input columns to avoid the cache-trashing effect").
-func ParallelSelectionFilterColumns() []string {
-	return []string{"lo_discount", "lo_quantity"}
-}

@@ -200,14 +200,11 @@ func TestContinueOnErrorDrains(t *testing.T) {
 	// A deadline short enough that some queries fail, long enough that the
 	// cheap ones finish.
 	cfg.QueryDeadline = 50 * time.Microsecond
-	samples := 0
 	_, res, err := Run(cat, cfg, CPUOnly(), Spec{
 		Queries:         ssbQueries(),
 		Users:           2,
 		TotalQueries:    13,
 		ContinueOnError: true,
-		Monitor:         func(e *exec.Engine) { samples++ },
-		MonitorEvery:    10 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("run aborted despite ContinueOnError: %v", err)
@@ -220,9 +217,6 @@ func TestContinueOnErrorDrains(t *testing.T) {
 	}
 	if res.DeadlineFailures != res.Failures {
 		t.Fatalf("deadline failures %d != failures %d", res.DeadlineFailures, res.Failures)
-	}
-	if samples == 0 {
-		t.Fatal("monitor never sampled")
 	}
 	if res.WorkloadTime <= 0 {
 		t.Fatal("makespan missing")

@@ -29,6 +29,7 @@ import (
 	"robustdb/internal/faults"
 	"robustdb/internal/figures"
 	"robustdb/internal/plan"
+	"robustdb/internal/sim"
 	"robustdb/internal/sql"
 	"robustdb/internal/ssb"
 	"robustdb/internal/table"
@@ -187,28 +188,22 @@ type QueryStats struct {
 }
 
 // Query executes one plan on a fresh simulated machine under the strategy
-// and returns its exact result.
+// and returns the exact result the engine computed.
 func (db *DB) Query(dev Device, strat Strategy, p *Plan) (*Batch, QueryStats, error) {
-	_, res, err := db.RunWorkload(dev, strat, Workload{
-		Queries: []WorkloadQuery{{Name: "q", Plan: p}},
-		Users:   1,
+	e, err := workload.NewEngine(db.cat, dev, strat, []WorkloadQuery{{Name: "q", Plan: p}})
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	var v *exec.Value
+	var st exec.QueryStats
+	e.Sim.Spawn("query", func(proc *sim.Proc) {
+		v, st, err = e.RunQuery(proc, p, strat.Placer)
 	})
+	e.Sim.Run()
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	// Re-execute directly for the result batch (the workload runner reports
-	// metrics only); results are independent of placement, so the bulk
-	// kernels are authoritative.
-	out, err := evalPlan(db.cat, p)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	lat := res.Latencies["q"]
-	st := QueryStats{Aborts: res.Aborts}
-	if len(lat) > 0 {
-		st.Latency = lat[0]
-	}
-	return out, st, nil
+	return v.Batch, QueryStats{Latency: st.Latency, Aborts: e.Metrics.Aborts.Load()}, nil
 }
 
 // RunWorkload executes a multi-user workload on a fresh simulated machine
@@ -334,20 +329,3 @@ func RegenerateFigure(id string, opts FigureOptions) ([]*Figure, error) {
 
 // FigureIDs lists the regenerable figures in paper order.
 func FigureIDs() []string { return figures.IDs() }
-
-// evalPlan executes a plan directly with the bulk kernels.
-func evalPlan(cat *table.Catalog, p *plan.Plan) (*engine.Batch, error) {
-	var eval func(n *plan.Node) (*engine.Batch, error)
-	eval = func(n *plan.Node) (*engine.Batch, error) {
-		var inputs []*engine.Batch
-		for _, c := range n.Children {
-			in, err := eval(c)
-			if err != nil {
-				return nil, err
-			}
-			inputs = append(inputs, in)
-		}
-		return n.Op.Execute(nil, cat, inputs)
-	}
-	return eval(p.Root)
-}
