@@ -42,6 +42,10 @@ type serveConfig struct {
 	slowlogQError    float64       // q-error gate (0 disables)
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its request
+// headers, so slow clients cannot hold the -max-conns slots indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 // runServe runs the query front door on addr: POST /v1/query admits
 // tenant-tagged SQL into the engine under the configured admission policy,
 // POST /v1/explain describes a statement's plan without running it,
@@ -108,7 +112,7 @@ func runServe(cfg serveConfig) error {
 	if cfg.maxConns > 0 {
 		ln = server.LimitListener(ln, cfg.maxConns)
 	}
-	srv := &http.Server{Handler: root}
+	srv := &http.Server{Handler: root, ReadHeaderTimeout: readHeaderTimeout}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- srv.Serve(ln) }()
 	cfg.log.LogAttrs(context.Background(), slog.LevelInfo, "serving",

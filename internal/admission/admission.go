@@ -37,7 +37,7 @@ const (
 	// FIFO admits strictly in arrival order and rejects new arrivals when
 	// the queue is full. Simple, but one aggressive tenant starves the rest.
 	FIFO Policy = "fifo"
-	// Fair admits by weighted priority with aging: a ticket's effective
+	// Fair admits by priority with aging: a ticket's effective
 	// priority grows with its queue wait, so heavy tenants cannot starve
 	// light ones, and a full queue sheds the lowest-priority tail rather
 	// than the newest arrival.
@@ -119,13 +119,8 @@ var (
 	ErrCanceled = &Error{Code: CodeCanceled}
 )
 
-// TenantConfig bounds and weighs one tenant.
+// TenantConfig bounds one tenant.
 type TenantConfig struct {
-	// Weight is the fair-share weight (≥1; higher ages faster and therefore
-	// gets a larger share of admissions under load).
-	Weight int
-	// Priority is the base priority added to every query of the tenant.
-	Priority int
 	// MaxInFlight caps the tenant's concurrently admitted queries
 	// (0 = the controller-wide default).
 	MaxInFlight int
@@ -134,9 +129,6 @@ type TenantConfig struct {
 }
 
 func (t TenantConfig) withDefaults(d TenantConfig) TenantConfig {
-	if t.Weight <= 0 {
-		t.Weight = d.Weight
-	}
 	if t.MaxInFlight <= 0 {
 		t.MaxInFlight = d.MaxInFlight
 	}
@@ -162,12 +154,10 @@ type Config struct {
 	// submitter gives no deadline (default 5s; negative disables).
 	QueueTimeout time.Duration
 	// AgingStep is the queue wait that earns one effective priority point
-	// per weight unit (default 100ms). Smaller steps age faster.
+	// (default 100ms). Smaller steps age faster.
 	AgingStep time.Duration
-	// RetryAfter is the backoff hint attached to shed errors (default 1s).
-	RetryAfter time.Duration
-	// DefaultTenant fills unset per-tenant bounds (default: weight 1,
-	// priority 0, MaxInFlight = MaxConcurrent, MaxQueue = MaxQueue/4+1).
+	// DefaultTenant fills unset per-tenant bounds (default: MaxInFlight =
+	// MaxConcurrent, MaxQueue = MaxQueue/4+1).
 	DefaultTenant TenantConfig
 	// Tenants pre-registers per-tenant configs; unknown tenants get
 	// DefaultTenant on first contact.
@@ -178,6 +168,10 @@ type Config struct {
 	// now is the clock hook for tests; nil uses the wall clock.
 	now func() time.Time
 }
+
+// retryAfter is the client backoff hint attached to shed errors, except
+// queue timeouts and cancellations, which carry none.
+const retryAfter = time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
@@ -194,12 +188,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AgingStep <= 0 {
 		c.AgingStep = 100 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.DefaultTenant.Weight <= 0 {
-		c.DefaultTenant.Weight = 1
 	}
 	if c.DefaultTenant.MaxInFlight <= 0 {
 		c.DefaultTenant.MaxInFlight = c.MaxConcurrent
@@ -411,7 +399,7 @@ func (c *Controller) Submit(tenant string, prio int, timeout time.Duration) (*Ti
 	t := &Ticket{
 		ctrl:     c,
 		Tenant:   tenant,
-		prio:     ts.cfg.Priority + prio,
+		prio:     prio,
 		seq:      c.nextSeq(),
 		enqueued: c.cfg.now(),
 		decided:  make(chan error, 1),
@@ -506,17 +494,13 @@ func (c *Controller) boundVictim(newcomer *Ticket, tenantQueue []*Ticket) *Ticke
 	return worst
 }
 
-// score is the effective priority of a queued ticket: base priority plus
-// weight-scaled aging. Aging grows without bound, so every queued ticket
-// eventually outranks fresh arrivals of any priority — no tenant starves.
+// score is the effective priority of a queued ticket: its priority plus one
+// point per AgingStep waited. Aging grows without bound, so every queued
+// ticket eventually outranks fresh arrivals of any priority — no tenant
+// starves.
 func (c *Controller) score(t *Ticket, now time.Time) float64 {
-	ts := c.tenants[t.Tenant]
-	weight := 1
-	if ts != nil && ts.cfg.Weight > 0 {
-		weight = ts.cfg.Weight
-	}
 	waited := now.Sub(t.enqueued)
-	return float64(t.prio) + float64(weight)*(float64(waited)/float64(c.cfg.AgingStep))
+	return float64(t.prio) + float64(waited)/float64(c.cfg.AgingStep)
 }
 
 func (c *Controller) nextSeq() int64 {
@@ -537,7 +521,7 @@ func (c *Controller) shedError(tenant string, code Code, reason string) *Error {
 		}
 		c.m.tenantShed(tenant, code)
 	}
-	retry := c.cfg.RetryAfter
+	retry := retryAfter
 	if code == CodeQueueTimeout || code == CodeCanceled {
 		retry = 0
 	}

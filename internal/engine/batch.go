@@ -14,7 +14,6 @@ import (
 
 	"robustdb/internal/column"
 	"robustdb/internal/expr"
-	"robustdb/internal/par"
 	"robustdb/internal/table"
 )
 
@@ -149,11 +148,7 @@ func (b *Batch) Gather(pos column.PosList) *Batch {
 // context's pool (nil ctx = serial); the qualifying positions are identical
 // either way because predicates are row-local.
 func Filter(ctx *Ctx, b *Batch, pred expr.Predicate) (column.PosList, error) {
-	n := b.NumRows()
-	if !ctx.parallel() || n <= par.DefaultMorselRows {
-		return pred.Eval(b.Column)
-	}
-	return parFilter(ctx, b, pred, n)
+	return FilterRange(ctx, b, pred, 0, b.NumRows())
 }
 
 // Select evaluates the predicate and materializes the qualifying rows.

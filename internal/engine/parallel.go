@@ -8,70 +8,76 @@ import (
 	"robustdb/internal/par"
 )
 
-// sliceColumn returns a zero-copy view of rows [lo, hi) of a column: the
+// viewColumn returns a zero-copy view of rows [lo, hi) of a column: the
 // four dense storage types share their backing arrays (string views share
 // the dictionary), and the compressed encodings share their packed blocks
-// or runs through window views — morsel workers scan encoded data in place.
-// Reports false for column types without view support, which callers handle
-// by falling back to serial paths.
-func sliceColumn(c column.Column, lo, hi int) (column.Column, bool) {
+// or runs through window views — range filters scan encoded data in place.
+func viewColumn(c column.Column, lo, hi int) (column.Column, error) {
 	switch c := c.(type) {
 	case *column.Int64Column:
-		return column.NewInt64(c.Name(), c.Values[lo:hi]), true
+		return column.NewInt64(c.Name(), c.Values[lo:hi]), nil
 	case *column.Float64Column:
-		return column.NewFloat64(c.Name(), c.Values[lo:hi]), true
+		return column.NewFloat64(c.Name(), c.Values[lo:hi]), nil
 	case *column.DateColumn:
-		return column.NewDate(c.Name(), c.Values[lo:hi]), true
+		return column.NewDate(c.Name(), c.Values[lo:hi]), nil
 	case *column.StringColumn:
-		return column.NewStringFromDict(c.Name(), c.Dict, c.Codes[lo:hi]), true
+		return column.NewStringFromDict(c.Name(), c.Dict, c.Codes[lo:hi]), nil
 	case *column.CompressedInt64Column:
-		return c.Slice(lo, hi), true
+		return c.Slice(lo, hi), nil
 	case *column.CompressedDateColumn:
-		return c.Slice(lo, hi), true
+		return c.Slice(lo, hi), nil
 	case *column.RLEInt64Column:
-		return c.Slice(lo, hi), true
+		return c.Slice(lo, hi), nil
 	default:
-		return nil, false
+		return nil, fmt.Errorf("engine: column %s has no row-range view (%T)", c.Name(), c)
 	}
 }
 
-// parFilter evaluates the whole predicate tree per morsel against zero-copy
-// column views and concatenates the per-morsel position lists. Predicates
-// are row-local (And/Or combine positions within a row range), so the
-// morsel-wise evaluation restricted to [lo, hi) shifted by lo reproduces the
-// serial evaluation exactly.
-func parFilter(ctx *Ctx, b *Batch, pred expr.Predicate, n int) (column.PosList, error) {
-	// Fall back to the serial evaluator if any referenced column cannot be
-	// sliced zero-copy (defensive: every storage and compressed encoding
-	// supports views, so this only triggers for exotic column types).
-	for _, name := range pred.Columns() {
+// filterView evaluates the predicate over rows [lo, hi) of the batch against
+// zero-copy views of the columns it references, and shifts the positions by
+// lo into global row numbers. Predicates are row-local (And/Or combine
+// positions within a row range), so the result is exactly the slice of the
+// whole-batch evaluation that falls inside [lo, hi).
+func filterView(b *Batch, pred expr.Predicate, lo, hi int) (column.PosList, error) {
+	pos, err := pred.Eval(func(name string) (column.Column, error) {
 		c, err := b.Column(name)
-		if err == nil {
-			if _, ok := sliceColumn(c, 0, 0); !ok {
-				return pred.Eval(b.Column)
-			}
-		}
-	}
-	numMorsels := par.Morsels(n)
-	parts := make([]column.PosList, numMorsels)
-	err := ctx.forEachMorsel(n, func(mi, lo, hi int) error {
-		resolve := func(name string) (column.Column, error) {
-			c, err := b.Column(name)
-			if err != nil {
-				return nil, err
-			}
-			v, _ := sliceColumn(c, lo, hi)
-			return v, nil
-		}
-		pos, err := pred.Eval(resolve)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for i := range pos {
-			pos[i] += int32(lo)
+		return viewColumn(c, lo, hi)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range pos {
+		pos[i] += int32(lo)
+	}
+	return pos, nil
+}
+
+// FilterRange evaluates the predicate against rows [lo, hi) of the batch and
+// returns the qualifying positions as global row numbers. Concatenating
+// FilterRange results over a partition of [0, n) in range order reproduces
+// Filter over the full batch bit-identically — the property the pipelined
+// chunk executor stitches on. Large ranges on a parallel context split into
+// morsels that each filter their own view; the per-morsel lists concatenate
+// in morsel order.
+func FilterRange(ctx *Ctx, b *Batch, pred expr.Predicate, lo, hi int) (column.PosList, error) {
+	n := b.NumRows()
+	if lo < 0 || hi > n || lo > hi {
+		return nil, fmt.Errorf("engine: filter range [%d, %d) outside batch of %d rows", lo, hi, n)
+	}
+	if !ctx.parallel() || hi-lo <= par.DefaultMorselRows {
+		if lo == 0 && hi == n {
+			return pred.Eval(b.Column) // the whole batch needs no views
 		}
+		return filterView(b, pred, lo, hi)
+	}
+	parts := make([]column.PosList, par.Morsels(hi-lo))
+	err := ctx.forEachMorsel(hi-lo, func(mi, mlo, mhi int) error {
+		pos, err := filterView(b, pred, lo+mlo, lo+mhi)
 		parts[mi] = pos
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -86,67 +92,6 @@ func parFilter(ctx *Ctx, b *Batch, pred expr.Predicate, n int) (column.PosList, 
 	out := make(column.PosList, 0, total)
 	for _, p := range parts {
 		out = append(out, p...)
-	}
-	return out, nil
-}
-
-// FilterRange evaluates the predicate against rows [lo, hi) of the batch and
-// returns the qualifying positions as global row numbers. Predicates are
-// row-local, so concatenating FilterRange results over a partition of [0, n)
-// in range order reproduces Filter over the full batch bit-identically — the
-// property the pipelined chunk executor stitches on, and the same argument
-// parFilter makes per morsel. Columns are sliced zero-copy; a column type
-// without view support falls back to a full evaluation restricted to the
-// range (correct, merely not chunk-local).
-func FilterRange(ctx *Ctx, b *Batch, pred expr.Predicate, lo, hi int) (column.PosList, error) {
-	n := b.NumRows()
-	if lo < 0 || hi > n || lo > hi {
-		return nil, fmt.Errorf("engine: filter range [%d, %d) outside batch of %d rows", lo, hi, n)
-	}
-	if lo == 0 && hi == n {
-		return Filter(ctx, b, pred)
-	}
-	for _, name := range pred.Columns() {
-		if c, err := b.Column(name); err == nil {
-			if _, ok := sliceColumn(c, 0, 0); !ok {
-				return filterRangeSlow(ctx, b, pred, lo, hi)
-			}
-		}
-	}
-	view := make([]column.Column, len(b.cols))
-	for i, c := range b.cols {
-		v, ok := sliceColumn(c, lo, hi)
-		if !ok {
-			return filterRangeSlow(ctx, b, pred, lo, hi)
-		}
-		view[i] = v
-	}
-	vb, err := NewBatch(view...)
-	if err != nil {
-		return nil, err
-	}
-	pos, err := Filter(ctx, vb, pred)
-	if err != nil {
-		return nil, err
-	}
-	for i := range pos {
-		pos[i] += int32(lo)
-	}
-	return pos, nil
-}
-
-// filterRangeSlow evaluates the predicate over the whole batch and keeps the
-// positions inside [lo, hi) — the defensive fallback for unsliceable columns.
-func filterRangeSlow(ctx *Ctx, b *Batch, pred expr.Predicate, lo, hi int) (column.PosList, error) {
-	all, err := Filter(ctx, b, pred)
-	if err != nil {
-		return nil, err
-	}
-	var out column.PosList
-	for _, p := range all {
-		if int(p) >= lo && int(p) < hi {
-			out = append(out, p)
-		}
 	}
 	return out, nil
 }

@@ -74,8 +74,8 @@ type Config struct {
 	// QueryDeadline fails any query still running after this much virtual
 	// time, releasing its device reservations (0 = no deadline).
 	QueryDeadline time.Duration
-	// PipelineDepth enables the pipelined chunk executor for chunkable
-	// GPU-placed leaf operators: up to this many chunks are buffered in
+	// PipelineDepth enables the pipelined chunk executor for GPU-placed
+	// base-table scans: up to this many chunks are buffered in
 	// flight, overlapping the upload of chunk i+1 with the device compute of
 	// chunk i and the download of chunk i−1 over the full-duplex bus.
 	// 0 (the default) disables pipelining — operators run the serial

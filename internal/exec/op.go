@@ -102,8 +102,8 @@ type opStats struct {
 // attempt is the work one device or host attempt runs. A whole-operator
 // attempt (run == nil) executes n over its children's results, reads base
 // columns through the device cache, and produces out. A chunk attempt
-// executes the selection of a pipelined chunkable leaf over rows [lo, hi):
-// it streams that slice of every base column through the heap — only
+// executes the selection of a pipelined scan over rows [lo, hi): it
+// streams that slice of every base column through the heap — only
 // whole-operator attempts consult and admit to the cache — and hands the
 // qualifying positions to its run. Both kinds go through the same device
 // lifecycle (gpuAttempt), degradation ladder (gpuLadder), and host path
@@ -132,7 +132,7 @@ type attempt struct {
 func (e *Engine) execOp(p *sim.Proc, q *query, n *plan.Node, kind cost.ProcKind, inputs []*Value) (*Value, error) {
 	e.pollReset(p.Now())
 	if kind == cost.GPU && e.pipeDepth > 0 && len(inputs) == 0 && e.Health.AllowGPU(p.Now()) {
-		// Chunkable leaves with data to transfer run through the pipelined
+		// Scans with data to transfer run through the pipelined
 		// executor; it declines (ran=false) when nothing would overlap.
 		if v, ran, err := e.runPipelined(p, q, n); ran {
 			return v, err

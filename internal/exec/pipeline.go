@@ -1,10 +1,11 @@
-// Pipelined chunk execution: the engine splits a chunkable leaf operator
-// into row-range chunks and runs them through a bounded double-buffered
-// schedule — while chunk i computes on the device, chunk i+1 uploads over the
-// H2D link and chunk i−1's result downloads over the D2H link. The
-// full-duplex bus (separate DMA engines per direction, §2.5.3) makes the
-// three stages genuinely concurrent, hiding most of the PCIe transfer time
-// that otherwise serializes ahead of the kernel (Figure 2's thrashing cost).
+// Pipelined chunk execution: the engine splits a base-table scan
+// (*plan.ScanOp) into row-range chunks and runs them through a bounded
+// double-buffered schedule — while chunk i computes on the device, chunk i+1
+// uploads over the H2D link and chunk i−1's result downloads over the D2H
+// link. The full-duplex bus (separate DMA engines per direction, §2.5.3)
+// makes the three stages genuinely concurrent, hiding most of the PCIe
+// transfer time that otherwise serializes ahead of the kernel (Figure 2's
+// thrashing cost).
 //
 // Correctness is by construction: FilterChunk over a partition of [0, rows)
 // concatenated in range order equals the serial evaluation bit-identically
@@ -55,7 +56,7 @@ func (e *Engine) pipelineChunkRowsFor(class cost.OpClass, info plan.ChunkInfo) i
 	return sizeChunkRows(e.Learner, e.Params, class, info.Rows, info.InRowBytes(), info.OutRowBytes, e.pipeDepth)
 }
 
-// sizeChunkRows sizes the chunks of a pipelined chunkable operator for
+// sizeChunkRows sizes the chunks of a pipelined scan for
 // transfer/compute overlap (the §5.2 chunks): a chunk should be small enough
 // that several are in flight — upload of chunk i+1 under the compute of
 // chunk i — and large enough that the fixed per-chunk costs (bus latency,
@@ -114,14 +115,14 @@ func sizeChunkRows(learner *cost.Learner, params *cost.Params, class cost.OpClas
 
 // pipelinePlanFor decides whether the pipelined executor applies to a
 // GPU-placed leaf and returns its chunking. It declines (k < 2) when the
-// operator is not chunkable, the chunk sizer cannot split it, or its inputs
+// operator is not a scan, the chunk sizer cannot split it, or its inputs
 // are already device-resident — with nothing to transfer there is nothing to
 // overlap, and the serial path serves the cache hit.
-func (e *Engine) pipelinePlanFor(n *plan.Node) (plan.ChunkableOp, plan.ChunkInfo, int, int) {
+func (e *Engine) pipelinePlanFor(n *plan.Node) (*plan.ScanOp, plan.ChunkInfo, int, int) {
 	if e.pipeDepth <= 0 || len(n.Children) != 0 {
 		return nil, plan.ChunkInfo{}, 0, 0
 	}
-	op, ok := n.Op.(plan.ChunkableOp)
+	op, ok := n.Op.(*plan.ScanOp)
 	if !ok {
 		return nil, plan.ChunkInfo{}, 0, 0
 	}
@@ -171,7 +172,7 @@ type pipeRun struct {
 	e     *Engine
 	q     *query
 	n     *plan.Node
-	op    plan.ChunkableOp
+	op    *plan.ScanOp
 	info  plan.ChunkInfo
 	class cost.OpClass
 	name  string
@@ -202,7 +203,7 @@ type pipeRun struct {
 	maxHeld    int64 // largest chunk attempt's heap high-water mark
 }
 
-// runPipelined executes a chunkable GPU-placed leaf through the pipelined
+// runPipelined executes a GPU-placed scan through the pipelined
 // schedule. ran=false means the executor declined and the caller should run
 // the serial path; ran=true means the operator finished here (possibly with
 // an error that fails the query).

@@ -15,7 +15,7 @@ import (
 	"robustdb/internal/trace"
 )
 
-// scanPlan is a single chunkable leaf: the shape the pipelined executor runs.
+// scanPlan is a single scan: the shape the pipelined executor runs.
 func scanPlan() *plan.Plan {
 	return plan.New(plan.Scan("fact", []string{"v", "qty", "price"}, expr.NewCmp("v", expr.LT, 50)))
 }
@@ -316,7 +316,7 @@ func TestPipelinedHeapContentionFollowsSerialModel(t *testing.T) {
 	serial := New(cat, Config{CacheBytes: 1 << 30, HeapBytes: 1 << 30})
 	want, _ := runQueryOnce(t, serial, scanPlan(), fixedPlacer{cost.GPU})
 
-	info, err := scanPlan().Root.Op.(plan.ChunkableOp).ChunkInfo(cat)
+	info, err := scanPlan().Root.Op.(*plan.ScanOp).ChunkInfo(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestPipelineSizesChunksFromLearner(t *testing.T) {
 	const rows = 200_000
 	cat := testCatalog(rows)
 	pl := plan.New(plan.Scan("fact", []string{"qty", "price"}, expr.NewCmp("v", expr.LT, 50)))
-	info, err := pl.Root.Op.(plan.ChunkableOp).ChunkInfo(cat)
+	info, err := pl.Root.Op.(*plan.ScanOp).ChunkInfo(cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"robustdb/internal/admission"
+	"robustdb/internal/cost"
 	"robustdb/internal/exec"
 	"robustdb/internal/faults"
 	"robustdb/internal/obs"
+	"robustdb/internal/plan"
 	"robustdb/internal/server"
 	"robustdb/internal/table"
 	"robustdb/internal/workload"
@@ -110,9 +113,10 @@ func admissionRun(c *table.Catalog, policy admission.Policy, capacity, clients, 
 		panic(fmt.Sprintf("figures: admission engine: %v", err))
 	}
 	reg := e.Metrics.Registry()
+	gate := &overloadGate{Placer: strat.Placer, clients: clients}
 	s, err := server.New(server.Config{
 		Engine:  e,
-		Placer:  strat.Placer,
+		Placer:  gate,
 		Catalog: c,
 		Admission: admission.Config{
 			Policy:        policy,
@@ -126,6 +130,7 @@ func admissionRun(c *table.Catalog, policy admission.Policy, capacity, clients, 
 	if err != nil {
 		panic(fmt.Sprintf("figures: admission server: %v", err))
 	}
+	gate.ctrl = s.Admission()
 	sampler := obs.NewSampler(reg, []*obs.Detector{
 		obs.NewThrashingDetector(obs.ThrashingConfig{}),
 		obs.NewContentionDetector(obs.ContentionConfig{}),
@@ -174,6 +179,43 @@ func admissionRun(c *table.Catalog, policy admission.Policy, capacity, clients, 
 		shedFrac = float64(out.shed) / float64(out.offered)
 	}
 	return out, shedFrac
+}
+
+// overloadGate makes a cell's overload independent of goroutine scheduling.
+// The first query compiled on the Host pump holds the pump until every
+// client's first submission has reached the admission controller (admitted,
+// queued or shed). While the pump is held no admitted query can finish, so at
+// most capacity + queue bound submissions are outstanding and every client
+// beyond them is shed — the 4× cell sheds by construction, not by how fast
+// the host happens to run the engine.
+type overloadGate struct {
+	exec.Placer
+	ctrl    *admission.Controller
+	clients int
+	opened  bool // touched only on the pump goroutine
+}
+
+// CompileTime holds the first call until the first wave is in, then defers
+// to the wrapped placer.
+func (g *overloadGate) CompileTime(e *exec.Engine, p *plan.Plan) map[int]cost.ProcKind {
+	if !g.opened {
+		g.opened = true
+		for g.submitted() < g.clients {
+			runtime.Gosched()
+		}
+	}
+	return g.Placer.CompileTime(e, p)
+}
+
+// submitted counts the submissions the controller has seen so far: those
+// admitted or shed plus those still queued.
+func (g *overloadGate) submitted() int {
+	st := g.ctrl.Stats()
+	n := st.Queued
+	for _, t := range st.Tenants {
+		n += int(t.Admitted + t.Shed)
+	}
+	return n
 }
 
 // isTyped reports whether the error is part of the overload contract.

@@ -49,30 +49,11 @@ func (o *FetchOp) Execute(ectx *engine.Ctx, cat *table.Catalog, inputs []*engine
 	if err != nil {
 		return nil, err
 	}
-	ridCol, err := inputs[0].Column(o.Table + ".rowid")
+	pos, err := rowidPositions(inputs[0], t)
 	if err != nil {
 		return nil, fmt.Errorf("fetch: %w", err)
 	}
-	rids, ok := ridCol.(*column.Int64Column)
-	if !ok {
-		return nil, fmt.Errorf("fetch: rowid column has type %T", ridCol)
-	}
-	pos := make(column.PosList, len(rids.Values))
-	for i, r := range rids.Values {
-		if r < 0 || r >= int64(t.NumRows()) {
-			return nil, fmt.Errorf("fetch: rowid %d out of range [0,%d)", r, t.NumRows())
-		}
-		pos[i] = int32(r)
-	}
-	cols := make([]column.Column, len(o.Cols))
-	for i, name := range o.Cols {
-		c, err := t.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = engine.Gather(ectx, c, pos)
-	}
-	return engine.NewBatch(cols...)
+	return gatherColumns(ectx, t, o.Cols, pos)
 }
 
 // IntersectOp intersects two sorted "<table>.rowid" position columns — the
@@ -96,31 +77,19 @@ func (o *IntersectOp) Name() string { return fmt.Sprintf("intersect(%s)", o.Tabl
 func (o *IntersectOp) BaseColumns() []table.ColumnID { return nil }
 
 // Execute intersects the two rowid lists.
-func (o *IntersectOp) Execute(_ *engine.Ctx, _ *table.Catalog, inputs []*engine.Batch) (*engine.Batch, error) {
+func (o *IntersectOp) Execute(_ *engine.Ctx, cat *table.Catalog, inputs []*engine.Batch) (*engine.Batch, error) {
 	if len(inputs) != 2 {
 		return nil, fmt.Errorf("intersect: want 2 inputs, got %d", len(inputs))
 	}
-	name := o.Table + ".rowid"
+	t, err := cat.Table(o.Table)
+	if err != nil {
+		return nil, err
+	}
 	lists := make([]column.PosList, 2)
 	for i, in := range inputs {
-		c, err := in.Column(name)
-		if err != nil {
+		if lists[i], err = rowidPositions(in, t); err != nil {
 			return nil, fmt.Errorf("intersect: %w", err)
 		}
-		ints, ok := c.(*column.Int64Column)
-		if !ok {
-			return nil, fmt.Errorf("intersect: rowid column has type %T", c)
-		}
-		pos := make(column.PosList, len(ints.Values))
-		for j, v := range ints.Values {
-			pos[j] = int32(v)
-		}
-		lists[i] = pos
 	}
-	out := lists[0].Intersect(lists[1])
-	ids := make([]int64, len(out))
-	for i, p := range out {
-		ids[i] = int64(p)
-	}
-	return engine.NewBatch(column.NewInt64(name, ids))
+	return rowidBatch(o.Table, lists[0].Intersect(lists[1]))
 }

@@ -10,8 +10,8 @@ import (
 	"robustdb/internal/table"
 )
 
-// ChunkInfo describes the chunkable shape of a leaf operator for the
-// pipelined executor: how many rows it scans, how many bytes per row must
+// ChunkInfo describes the chunkable shape of a scan for the pipelined
+// executor: how many rows it scans, how many bytes per row must
 // travel host→device, and how many bytes one selected output row costs
 // device→host.
 type ChunkInfo struct {
@@ -32,29 +32,18 @@ func (c ChunkInfo) InRowBytes() float64 {
 	return float64(c.InBytes) / float64(c.Rows)
 }
 
-// ChunkableOp is an operator the pipelined executor can split into row-range
-// chunks. The contract is exactness: concatenating FilterChunk results over a
-// partition of [0, Rows) in range order and materializing once must be
-// bit-identical to Execute. Only leaf operators (no batch inputs) implement
-// it today.
-type ChunkableOp interface {
-	Operator
-	// ChunkInfo reports the chunkable shape, or an error when the catalog
-	// cannot resolve the operator's table.
-	ChunkInfo(cat *table.Catalog) (ChunkInfo, error)
-	// FilterChunk evaluates the operator's selection over rows [lo, hi) and
-	// returns the qualifying positions as global row numbers, in ascending
-	// order.
-	FilterChunk(ectx *engine.Ctx, cat *table.Catalog, lo, hi int) (column.PosList, error)
-	// MaterializeResult builds the operator's output batch from the stitched
-	// position list.
-	MaterializeResult(ectx *engine.Ctx, cat *table.Catalog, pos column.PosList) (*engine.Batch, error)
-}
-
 // ScanOp filters a base table and materializes the requested columns.
 // With a nil predicate it materializes the columns unfiltered; with an empty
 // column list it emits a single "<table>.rowid" position column (the shape of
 // the paper's selection micro-benchmarks, which measure pure filtering).
+//
+// It is the one implementation of a base-table scan for every executor: the
+// bulk engine runs Execute, the vectorized engine materializes each vector
+// from a slice of the full-table FilterChunk, and the pipelined executor
+// splits the table into row-range chunks. The contract that makes them agree
+// is exactness: concatenating FilterChunk results over a partition of
+// [0, rows) in range order and materializing once with MaterializeResult is
+// bit-identical to Execute.
 type ScanOp struct {
 	Table string
 	Cols  []string
@@ -190,14 +179,16 @@ func (o *ScanOp) MaterializeResult(ectx *engine.Ctx, cat *table.Catalog, pos col
 		return nil, err
 	}
 	if len(o.Cols) == 0 {
-		ids := make([]int64, len(pos))
-		for i, p := range pos {
-			ids[i] = int64(p)
-		}
-		return engine.NewBatch(column.NewInt64(o.Table+".rowid", ids))
+		return rowidBatch(o.Table, pos)
 	}
-	cols := make([]column.Column, len(o.Cols))
-	for i, name := range o.Cols {
+	return gatherColumns(ectx, t, o.Cols, pos)
+}
+
+// gatherColumns materializes the named base columns of t at pos, each in its
+// stored encoding.
+func gatherColumns(ectx *engine.Ctx, t *table.Table, names []string, pos column.PosList) (*engine.Batch, error) {
+	cols := make([]column.Column, len(names))
+	for i, name := range names {
 		c, err := t.Column(name)
 		if err != nil {
 			return nil, err
@@ -205,6 +196,37 @@ func (o *ScanOp) MaterializeResult(ectx *engine.Ctx, cat *table.Catalog, pos col
 		cols[i] = engine.Gather(ectx, c, pos)
 	}
 	return engine.NewBatch(cols...)
+}
+
+// rowidBatch emits pos as the single "<table>.rowid" column of a positional
+// selection.
+func rowidBatch(tbl string, pos column.PosList) (*engine.Batch, error) {
+	ids := make([]int64, len(pos))
+	for i, p := range pos {
+		ids[i] = int64(p)
+	}
+	return engine.NewBatch(column.NewInt64(tbl+".rowid", ids))
+}
+
+// rowidPositions reads the "<table>.rowid" column of a positional selection
+// back into positions; every id must address one of the table's rows.
+func rowidPositions(in *engine.Batch, t *table.Table) (column.PosList, error) {
+	c, err := in.Column(t.Name() + ".rowid")
+	if err != nil {
+		return nil, err
+	}
+	ids, ok := c.(*column.Int64Column)
+	if !ok {
+		return nil, fmt.Errorf("rowid column has type %T", c)
+	}
+	pos := make(column.PosList, len(ids.Values))
+	for i, r := range ids.Values {
+		if r < 0 || r >= int64(t.NumRows()) {
+			return nil, fmt.Errorf("rowid %d out of range [0,%d)", r, t.NumRows())
+		}
+		pos[i] = int32(r)
+	}
+	return pos, nil
 }
 
 // FilterOp filters an intermediate batch with a predicate.

@@ -392,7 +392,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// QueryRequest is the wire format of POST /v1/query.
+// QueryRequest is the wire format of POST /v1/query and POST /v1/explain.
+// On /v1/explain the statement may carry an optional EXPLAIN (ANALYZE)
+// prefix, and Tenant/Priority/DeadlineMS apply only to the analyze path,
+// where the statement really runs through admission control.
 type QueryRequest struct {
 	// Tenant identifies the submitting tenant ("" maps to "default").
 	Tenant string `json:"tenant"`
@@ -422,7 +425,8 @@ type QueryResponse struct {
 type ErrorResponse struct {
 	Error string `json:"error"`
 	// Code is the machine-readable class: an admission code ("overloaded",
-	// "draining", …), "deadline", "bad-request", or "internal".
+	// "draining", …), "deadline", "bad-request", "too-large" (a request body
+	// over the size cap), or "internal".
 	Code string `json:"code"`
 	// RetryAfterMS mirrors the Retry-After header for JSON-only clients.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
@@ -452,18 +456,6 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	if err := s.journal.WriteJSONL(w); err != nil {
 		return
 	}
-}
-
-// ExplainRequest is the wire format of POST /v1/explain. The statement may
-// carry an optional EXPLAIN (ANALYZE) prefix; ?analyze=1 or an EXPLAIN
-// ANALYZE spelling executes the statement and attaches per-node actuals.
-// Tenant/Priority/DeadlineMS apply only to the analyze path, where the
-// statement really runs through admission control.
-type ExplainRequest struct {
-	SQL        string `json:"sql"`
-	Tenant     string `json:"tenant,omitempty"`
-	Priority   int    `json:"priority,omitempty"`
-	DeadlineMS int64  `json:"deadline_ms,omitempty"`
 }
 
 // Explain compiles the statement and renders its plan tree with placement
@@ -554,19 +546,8 @@ func (s *Server) ExplainAnalyze(ctx context.Context, tenant string, prio int, qu
 // ?analyze=1 (or an EXPLAIN ANALYZE statement) runs the query through the
 // full front-door path and attaches per-node actuals.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "bad-request", errors.New("server: POST only"), 0)
-		return
-	}
-	var req ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		inc(s.reqs.badRequest)
-		writeError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("server: bad request body: %w", err), 0)
-		return
-	}
-	if req.SQL == "" {
-		inc(s.reqs.badRequest)
-		writeError(w, http.StatusBadRequest, "bad-request", errors.New("server: empty sql"), 0)
+	req, ok := s.decodeRequest(w, r)
+	if !ok {
 		return
 	}
 	analyze := r.URL.Query().Get("analyze") == "1"
@@ -576,9 +557,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if analyze {
-		if req.Tenant == "" {
-			req.Tenant = "default"
-		}
 		payload, err := s.ExplainAnalyze(r.Context(), req.Tenant, req.Priority, req.SQL,
 			time.Duration(req.DeadlineMS)*time.Millisecond)
 		if err != nil {
@@ -599,23 +577,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // handleQuery is the wire entry point. Every error path maps to a typed
 // wire status via writeError — the wirestatus lint rule pins this property.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "bad-request", errors.New("server: POST only"), 0)
+	req, ok := s.decodeRequest(w, r)
+	if !ok {
 		return
-	}
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		inc(s.reqs.badRequest)
-		writeError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("server: bad request body: %w", err), 0)
-		return
-	}
-	if req.SQL == "" {
-		inc(s.reqs.badRequest)
-		writeError(w, http.StatusBadRequest, "bad-request", errors.New("server: empty sql"), 0)
-		return
-	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
 	}
 	// An EXPLAIN statement describes its plan instead of executing; EXPLAIN
 	// ANALYZE executes it and describes the plan with actuals. Both answer
@@ -648,6 +612,44 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			slog.Duration("latency", res.Latency),
 			slog.Duration("queue_wait", res.QueueWait))
 	}
+}
+
+// maxRequestBytes caps a request body. A statement is a few hundred bytes;
+// the cap only stops a client from making the server buffer an unbounded
+// body.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest reads the POST body shared by /v1/query and /v1/explain
+// (tenant, statement, priority, deadline), defaulting the tenant. On a bad
+// request it writes the typed error and reports false: 405 for another
+// method, 413 for a body over maxRequestBytes, 400 for malformed JSON or an
+// empty statement.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, bool) {
+	var req QueryRequest
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "bad-request", errors.New("server: POST only"), 0)
+		return req, false
+	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		inc(s.reqs.badRequest)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "too-large",
+				fmt.Errorf("server: request body over %d bytes", tooLarge.Limit), 0)
+			return req, false
+		}
+		writeError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("server: bad request body: %w", err), 0)
+		return req, false
+	}
+	if req.SQL == "" {
+		inc(s.reqs.badRequest)
+		writeError(w, http.StatusBadRequest, "bad-request", errors.New("server: empty sql"), 0)
+		return req, false
+	}
+	if req.Tenant == "" {
+		req.Tenant = "default"
+	}
+	return req, true
 }
 
 // handleAdmissionStats serves the frozen controller state as JSON.

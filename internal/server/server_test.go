@@ -193,6 +193,33 @@ func TestHTTPWireStatuses(t *testing.T) {
 	wantStatus(post(`{"sql":"SELECT SUM(lo_revenue) AS rev FROM lineorder"}`), http.StatusServiceUnavailable, "draining")
 }
 
+// TestHTTPOversizedBody: a request body over the 1 MiB cap is refused with a
+// typed 413 on both statement endpoints instead of being buffered whole.
+func TestHTTPOversizedBody(t *testing.T) {
+	cat := catalog(t)
+	s := newServer(t, cat, exec.Config{}, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer drain(t, s)
+
+	body := `{"tenant":"acme","sql":"` + strings.Repeat("x", 2<<20) + `"}`
+	for _, path := range []string{"/v1/query", "/v1/explain"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		var we server.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+		if err != nil || we.Code != "too-large" {
+			t.Fatalf("%s: error envelope %+v (%v), want code too-large", path, we, err)
+		}
+	}
+}
+
 // TestDrainNoSilentDrops is the shutdown regression test: a drain racing a
 // concurrent query storm must give every single query a decision — a result
 // or a typed error — and every admitted-but-failed query must carry a

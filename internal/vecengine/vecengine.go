@@ -7,7 +7,9 @@
 // ever being materialized as a full intermediate. Only *pipeline breakers*
 // (joins, aggregations, sorts — and the plan root) materialize, exactly the
 // property §5.5 discusses. Results are produced by the same kernels as the
-// bulk engine and are bit-identical to it.
+// bulk engine and are bit-identical to it. Base-table scans are plan.ScanOp's
+// own: its FilterChunk selects the qualifying rows and its MaterializeResult
+// builds each vector, the code the bulk and pipelined executors run too.
 //
 // The execution statistics (vectors dispatched, bytes materialized at
 // breakers, bytes that skipped materialization) feed the Figure 22/23 cost
@@ -139,33 +141,17 @@ func (e *Engine) execPipeline(ectx *engine.Ctx, n *plan.Node, stats *Stats) (*en
 		cur = cur.Children[0]
 	}
 	source := chain[0]
-	// The source's input: a scan reads the catalog; a streaming operator
-	// over a breaker consumes the breaker's materialized output.
-	var input *engine.Batch
-	switch {
-	case len(source.Children) == 0:
-		// Leaf scan: materialize per-vector below.
-		input = nil
-	case len(source.Children) == 1:
-		breakerOut, err := e.execNode(ectx, source.Children[0], stats)
-		if err != nil {
-			return nil, err
-		}
-		input = breakerOut
-	default:
-		return nil, fmt.Errorf("vecengine: streaming operator %s with %d children", source.Op.Name(), len(source.Children))
-	}
 
-	stats.Pipelines++
-
-	// Lay out the vector chunks up front (an empty source still emits one
-	// empty vector, so downstream operators see the schema).
-	type chunk struct{ lo, hi int }
-	var chunks []chunk
-	var makeVec func(c chunk) (*engine.Batch, error)
+	// The source's rows and how to build one vector of them: a leaf scan
+	// selects its qualifying positions once over the whole table
+	// (morsel-wise on the pool) and materializes each vector from a slice of
+	// them; a streaming operator over a breaker slices the breaker's
+	// materialized output.
+	var rows int
+	var makeVec func(lo, hi int) (*engine.Batch, error)
 	var scanSaves bool // charge SavedBytes for the scan's own vectors
-
-	if input == nil {
+	switch len(source.Children) {
+	case 0:
 		scan, ok := source.Op.(*plan.ScanOp)
 		if !ok {
 			return nil, fmt.Errorf("vecengine: leaf %s is not a scan", source.Op.Name())
@@ -174,64 +160,35 @@ func (e *Engine) execPipeline(ectx *engine.Ctx, n *plan.Node, stats *Stats) (*en
 		if err != nil {
 			return nil, err
 		}
-		// Evaluate the scan predicate once over the full table (morsel-wise
-		// on the pool via the filter kernel), then chunk the positions.
-		var pos column.PosList
-		if scan.Pred != nil {
-			seen := make(map[string]bool)
-			var predCols []column.Column
-			for _, name := range scan.Pred.Columns() {
-				if seen[name] {
-					continue
-				}
-				seen[name] = true
-				c, err := t.Column(name)
-				if err != nil {
-					return nil, err
-				}
-				// Stored encoding goes straight to the filter kernel:
-				// compressed columns scan in the code domain per morsel.
-				predCols = append(predCols, c)
-			}
-			pb, err := engine.NewBatch(predCols...)
-			if err != nil {
-				return nil, err
-			}
-			pos, err = engine.Filter(ectx, pb, scan.Pred)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			pos = column.All(t.NumRows())
+		pos, err := scan.FilterChunk(ectx, e.cat, 0, t.NumRows())
+		if err != nil {
+			return nil, err
 		}
-		for lo := 0; lo < len(pos) || lo == 0; lo += e.vectorSize {
-			hi := lo + e.vectorSize
-			if hi > len(pos) {
-				hi = len(pos)
-			}
-			chunks = append(chunks, chunk{lo, hi})
-			if len(pos) == 0 {
-				break
-			}
-		}
+		rows = len(pos)
 		scanSaves = len(chain) > 1
-		makeVec = func(c chunk) (*engine.Batch, error) {
-			return e.materializeScan(scan, t, pos[c.lo:c.hi])
+		makeVec = func(lo, hi int) (*engine.Batch, error) {
+			return scan.MaterializeResult(nil, e.cat, pos[lo:hi])
 		}
-	} else {
-		for lo := 0; lo < input.NumRows() || lo == 0; lo += e.vectorSize {
-			hi := lo + e.vectorSize
-			if hi > input.NumRows() {
-				hi = input.NumRows()
-			}
-			chunks = append(chunks, chunk{lo, hi})
-			if input.NumRows() == 0 {
-				break
-			}
+	case 1:
+		input, err := e.execNode(ectx, source.Children[0], stats)
+		if err != nil {
+			return nil, err
 		}
-		makeVec = func(c chunk) (*engine.Batch, error) {
-			return sliceBatch(input, c.lo, c.hi), nil
+		rows = input.NumRows()
+		makeVec = func(lo, hi int) (*engine.Batch, error) {
+			return sliceBatch(input, lo, hi), nil
 		}
+	default:
+		return nil, fmt.Errorf("vecengine: streaming operator %s with %d children", source.Op.Name(), len(source.Children))
+	}
+	stats.Pipelines++
+
+	// Lay out the vector chunks up front (an empty source still emits one
+	// empty vector, so downstream operators see the schema).
+	type chunk struct{ lo, hi int }
+	chunks := []chunk{{0, min(e.vectorSize, rows)}}
+	for lo := e.vectorSize; lo < rows; lo += e.vectorSize {
+		chunks = append(chunks, chunk{lo, min(lo+e.vectorSize, rows)})
 	}
 
 	// Per-chunk results and stat deltas, filled independently and folded in
@@ -245,7 +202,7 @@ func (e *Engine) execPipeline(ectx *engine.Ctx, n *plan.Node, stats *Stats) (*en
 	}
 	deltas := make([]delta, len(chunks))
 	err := e.pool.ForEachN(len(chunks), func(ci int) error {
-		vec, err := makeVec(chunks[ci])
+		vec, err := makeVec(chunks[ci].lo, chunks[ci].hi)
 		if err != nil {
 			return err
 		}
@@ -293,27 +250,6 @@ func (e *Engine) execPipeline(ectx *engine.Ctx, n *plan.Node, stats *Stats) (*en
 	}
 	stats.MaterializedBytes += out.Bytes()
 	return out, nil
-}
-
-// materializeScan gathers the scan's output columns for one chunk of
-// qualifying positions.
-func (e *Engine) materializeScan(scan *plan.ScanOp, t *table.Table, pos column.PosList) (*engine.Batch, error) {
-	if len(scan.Cols) == 0 {
-		ids := make([]int64, len(pos))
-		for i, p := range pos {
-			ids[i] = int64(p)
-		}
-		return engine.NewBatch(column.NewInt64(scan.Table+".rowid", ids))
-	}
-	cols := make([]column.Column, len(scan.Cols))
-	for i, name := range scan.Cols {
-		c, err := t.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c.Gather(pos)
-	}
-	return engine.NewBatch(cols...)
 }
 
 // sliceBatch materializes rows [lo, hi) of a batch.
